@@ -7,133 +7,13 @@ makes the operator a differentiable interpolation between the classic
 pooling families.
 """
 
-from .learning import (
-    FixedUniform,
-    LearnedAttention,
-    MaxThreshold,
-    MeanThreshold,
-    NonFiniteLossError,
-    ReparamState,
-    SyntheticTask,
-    fd_gradient,
-    generate_task_data,
-    materialize_params,
-    train_synthetic,
-)
-from .numerics import (
-    DegenerateRowError,
-    kl_divergence,
-    logsumexp_cols,
-    logsumexp_rows,
-    row_conditional,
-    softmax,
-    softplus,
-    softplus_inverse,
-)
-from .pooling import (
-    AttentionParams,
-    AttentionPooling,
-    GatedMeanMaxPooling,
-    HierarchicalUotPooling,
-    MaxPooling,
-    MeanMaxGate,
-    MeanPooling,
-    MixedMeanMaxPooling,
-    UotBadmmPooling,
-    UotSinkhornPooling,
-    apply_pooling,
-    attention_config,
-    attention_pool,
-    attention_weights,
-    gated_mean_max_pool,
-    hierarchical_uot_pool,
-    max_config,
-    max_pool,
-    mean_config,
-    mean_pool,
-    mixed_pool,
-    pool_with_plan,
-    row_argmax,
-    uot_pool,
-)
-from .solvers import (
-    BadmmState,
-    Regularizer,
-    SinkhornState,
-    SolverDiagnostics,
-    SolverKind,
-    UotParams,
-    badmm_auxiliary_update,
-    badmm_dual_update,
-    badmm_init,
-    badmm_primal_update,
-    badmm_uot,
-    sinkhorn_init,
-    sinkhorn_step,
-    sinkhorn_uot,
-    uot_objective,
-)
+from . import learning, numerics, pooling, solvers
+from .learning import *  # noqa: F401,F403
+from .numerics import *  # noqa: F401,F403
+from .pooling import *  # noqa: F401,F403
+from .solvers import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AttentionParams",
-    "AttentionPooling",
-    "BadmmState",
-    "DegenerateRowError",
-    "FixedUniform",
-    "GatedMeanMaxPooling",
-    "HierarchicalUotPooling",
-    "LearnedAttention",
-    "MaxPooling",
-    "MaxThreshold",
-    "MeanMaxGate",
-    "MeanPooling",
-    "MeanThreshold",
-    "MixedMeanMaxPooling",
-    "NonFiniteLossError",
-    "Regularizer",
-    "ReparamState",
-    "SinkhornState",
-    "SolverDiagnostics",
-    "SolverKind",
-    "SyntheticTask",
-    "UotBadmmPooling",
-    "UotParams",
-    "UotSinkhornPooling",
-    "apply_pooling",
-    "attention_config",
-    "attention_pool",
-    "attention_weights",
-    "badmm_auxiliary_update",
-    "badmm_dual_update",
-    "badmm_init",
-    "badmm_primal_update",
-    "badmm_uot",
-    "fd_gradient",
-    "gated_mean_max_pool",
-    "generate_task_data",
-    "hierarchical_uot_pool",
-    "kl_divergence",
-    "logsumexp_cols",
-    "logsumexp_rows",
-    "materialize_params",
-    "max_config",
-    "max_pool",
-    "mean_config",
-    "mean_pool",
-    "mixed_pool",
-    "pool_with_plan",
-    "row_argmax",
-    "row_conditional",
-    "sinkhorn_init",
-    "sinkhorn_step",
-    "sinkhorn_uot",
-    "softmax",
-    "softplus",
-    "softplus_inverse",
-    "train_synthetic",
-    "uot_objective",
-    "uot_pool",
-    "__version__",
-]
+__all__ = [*learning.__all__, *numerics.__all__, *pooling.__all__, *solvers.__all__,
+           "__version__"]

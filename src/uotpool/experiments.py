@@ -14,8 +14,8 @@ import dataclasses
 import io
 import json
 import os
+import secrets
 import statistics
-import tempfile
 import time
 from dataclasses import dataclass
 
@@ -38,10 +38,10 @@ from .pooling import (
     mean_config,
     mean_pool,
     mixed_pool,
-    pool_with_plan,
     row_argmax,
+    uot_pool,
 )
-from .solvers import Regularizer, SolverKind, UotParams, _solve_core
+from .solvers import Regularizer, SolverKind, UotParams, solve
 
 __all__ = [
     "DEFAULT_SEEDS",
@@ -97,7 +97,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("dims", "weight_grid", "k_list", "solvers", "bench_k", "batch_dims"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        unknown = [s for s in self.solvers if s not in ("sinkhorn", "badmm")]
+        unknown = [s for s in self.solvers if s not in {k.value for k in SolverKind}]
         if unknown:
             raise ValueError(f"unknown solver name: {unknown[0]}")
 
@@ -128,10 +128,12 @@ def _fmt(value) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    # Opening a fresh name with "x" gives the file the mode a plain open()
+    # would, under the process umask; mkstemp would leave it at 0600.
+    tmp = os.path.join(os.path.dirname(path) or ".", f".tmp-{secrets.token_hex(8)}.part")
+    fh = open(tmp, "x", encoding="utf-8", newline="")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+        with fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -142,38 +144,32 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    _atomic_write(path, buf.getvalue())
-
-
-def _write_manifest(outdir: str, command: str, seed: int, config: ExperimentConfig,
-                    files: list[str], notes: str | None = None) -> None:
+def _write_outputs(config: ExperimentConfig, command: str, seed: int,
+                   tables: dict[str, tuple[list[str], list[list]]],
+                   notes: str | None = None) -> list[str]:
+    """Write each ``{file name: (header, rows)}`` table as a CSV into
+    ``config.out``, then the manifest; return the CSV file names."""
+    os.makedirs(config.out, exist_ok=True)
+    for fname, (header, rows) in tables.items():
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+        _atomic_write(os.path.join(config.out, fname), buf.getvalue())
     echo = dataclasses.asdict(config)
     echo["seed"] = seed
     manifest = {
         "command": command,
         "version": __version__,
-        "files": sorted(files),
+        "files": sorted(tables),
         "config": echo,
     }
     if notes is not None:
         manifest["notes"] = notes
-    _atomic_write(os.path.join(outdir, "manifest.json"),
+    _atomic_write(os.path.join(config.out, "manifest.json"),
                   json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
-def _solver_kind(name: str) -> SolverKind:
-    return SolverKind.SINKHORN if name == "sinkhorn" else SolverKind.BADMM
-
-
-def _solve(name: str, x: np.ndarray, params: UotParams) -> np.ndarray:
-    plan, _ = _solve_core(x, params, _solver_kind(name))
-    return plan
+    return list(tables)
 
 
 # ---- approx: transport plans against closed-form pooling targets ----
@@ -199,35 +195,29 @@ def cmd_approx(config: ExperimentConfig) -> list[str]:
         ("attention", attention_config(d, q0), attention_target),
     ]
 
-    os.makedirs(config.out, exist_ok=True)
-    files: list[str] = []
+    tables: dict[str, tuple[list[str], list[list]]] = {}
     summary_rows: list[list] = []
     for target_name, params, target in cases:
         for solver in config.solvers:
-            plan = _solve(solver, x, params)
+            plan, _ = solve(x, params, SolverKind(solver))
             err = np.abs(plan - target)
             rows = [
                 [i, j, target[i, j], plan[i, j], err[i, j]]
                 for i in range(d) for j in range(n)
             ]
-            fname = f"approx_{target_name}_{solver}.csv"
-            _write_csv(os.path.join(config.out, fname),
-                       ["row", "col", "target_plan", "solved_plan", "abs_error"], rows)
-            files.append(fname)
+            tables[f"approx_{target_name}_{solver}.csv"] = (
+                ["row", "col", "target_plan", "solved_plan", "abs_error"], rows)
             summary_rows.append([target_name, solver, err.max()])
-    _write_csv(os.path.join(config.out, "approx_summary.csv"),
-               ["target", "solver", "max_abs_error"], summary_rows)
-    files.append("approx_summary.csv")
-    _write_manifest(config.out, "approx", seed, config, files)
-    return files
+    tables["approx_summary.csv"] = (["target", "solver", "max_abs_error"], summary_rows)
+    return _write_outputs(config, "approx", seed, tables)
 
 
 # ---- stability: solver health over a grid of weight decades ----
 
 _STABILITY_CONFIGS = (
-    ("sinkhorn", Regularizer.ENTROPIC),
-    ("badmm_entropic", Regularizer.ENTROPIC),
-    ("badmm_quadratic", Regularizer.QUADRATIC),
+    ("sinkhorn", SolverKind.SINKHORN, Regularizer.ENTROPIC),
+    ("badmm_entropic", SolverKind.BADMM, Regularizer.ENTROPIC),
+    ("badmm_quadratic", SolverKind.BADMM, Regularizer.QUADRATIC),
 )
 
 
@@ -240,24 +230,19 @@ def cmd_stability(config: ExperimentConfig) -> list[str]:
     x = rng.uniform(0.0, 1.0, (d, n))
 
     rows: list[list] = []
-    for name, reg in _STABILITY_CONFIGS:
-        kind = SolverKind.SINKHORN if name == "sinkhorn" else SolverKind.BADMM
+    for name, kind, reg in _STABILITY_CONFIGS:
         for a0 in config.weight_grid:
             for a12 in config.weight_grid:
                 params = UotParams.uniform(
                     d, n, k_iters=config.k_iters,
                     alpha0=a0, alpha1=a12, alpha2=a12, rho=config.rho, reg=reg,
                 )
-                plan, trace = _solve_core(x, params, kind)
-                finite = bool(np.isfinite(plan).all() and np.isfinite(trace).all())
-                mass = float(np.abs(plan).sum())
-                rows.append([name, a0, a12, not finite, mass])
+                _, diag = solve(x, params, kind)
+                rows.append([name, a0, a12, diag.has_nan, diag.total_mass])
 
-    os.makedirs(config.out, exist_ok=True)
-    _write_csv(os.path.join(config.out, "stability.csv"),
-               ["solver", "alpha0", "alpha12", "has_nan", "total_mass"], rows)
-    _write_manifest(config.out, "stability", seed, config, ["stability.csv"])
-    return ["stability.csv"]
+    return _write_outputs(config, "stability", seed, {
+        "stability.csv": (["solver", "alpha0", "alpha12", "has_nan", "total_mass"], rows),
+    })
 
 
 # ---- convergence: objective against iteration count ----
@@ -271,23 +256,19 @@ def cmd_convergence(config: ExperimentConfig) -> list[str]:
     x = rng.uniform(0.0, 1.0, (config.batch_size, d, n))
 
     rows: list[list] = []
-    for name, reg in _STABILITY_CONFIGS:
-        kind = SolverKind.SINKHORN if name == "sinkhorn" else SolverKind.BADMM
-        solver = "sinkhorn" if name == "sinkhorn" else "badmm"
+    for _, kind, reg in _STABILITY_CONFIGS:
         for k in config.k_list:
             params = UotParams.uniform(
                 d, n, k_iters=k,
                 alpha0=config.alpha0, alpha1=config.alpha1,
                 alpha2=config.alpha2, rho=config.rho, reg=reg,
             )
-            _, trace = _solve_core(x, params, kind)
-            rows.append([solver, reg.value, k, float(trace[-1].mean())])
+            _, diag = solve(x, params, kind)
+            rows.append([kind.value, reg.value, k, float(diag.objective_trace[-1].mean())])
 
-    os.makedirs(config.out, exist_ok=True)
-    _write_csv(os.path.join(config.out, "convergence.csv"),
-               ["solver", "reg", "k", "objective"], rows)
-    _write_manifest(config.out, "convergence", seed, config, ["convergence.csv"])
-    return ["convergence.csv"]
+    return _write_outputs(config, "convergence", seed, {
+        "convergence.csv": (["solver", "reg", "k", "objective"], rows),
+    })
 
 
 # ---- bench: wall-clock timing of the pooling operators ----
@@ -315,11 +296,7 @@ def cmd_bench(config: ExperimentConfig) -> list[str]:
             alpha2=config.alpha2, rho=config.rho,
         )
 
-        def body():
-            plan, _ = _solve_core(x, params, kind)
-            return pool_with_plan(x, plan)
-
-        return body
+        return lambda: uot_pool(x, params, kind)
 
     jobs: list[tuple[str, int, object]] = [
         ("mean", 0, lambda: mean_pool(x)),
@@ -347,14 +324,11 @@ def cmd_bench(config: ExperimentConfig) -> list[str]:
             statistics.median(times_ms),
         ])
 
-    os.makedirs(config.out, exist_ok=True)
-    _write_csv(os.path.join(config.out, "bench.csv"),
-               ["method", "k", "mean_ms", "std_ms", "median_ms"], rows)
-    _write_manifest(
-        config.out, "bench", seed, config, ["bench.csv"],
+    return _write_outputs(
+        config, "bench", seed,
+        {"bench.csv": (["method", "k", "mean_ms", "std_ms", "median_ms"], rows)},
         notes="timings cover the pooling operators only; no model baselines are included",
     )
-    return ["bench.csv"]
 
 
 # ---- train: synthetic bag classification ----
@@ -382,7 +356,4 @@ def cmd_train(config: ExperimentConfig) -> list[str]:
         rows = [[e, v] for e, v in enumerate(err.trace)]
         rows.append([len(err.trace), float("nan")])
 
-    os.makedirs(config.out, exist_ok=True)
-    _write_csv(os.path.join(config.out, "train.csv"), ["epoch", "loss"], rows)
-    _write_manifest(config.out, "train", seed, config, ["train.csv"])
-    return ["train.csv"]
+    return _write_outputs(config, "train", seed, {"train.csv": (["epoch", "loss"], rows)})

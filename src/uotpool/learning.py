@@ -25,7 +25,7 @@ from .pooling import (
     attention_weights,
     pool_with_plan,
 )
-from .solvers import Regularizer, SolverKind, UotParams, _solve_core
+from .solvers import Regularizer, UotParams, solve
 
 __all__ = [
     "FixedUniform",
@@ -306,7 +306,6 @@ def train_synthetic(
     """
     if not isinstance(spec, (UotSinkhornPooling, UotBadmmPooling)):
         raise TypeError("training requires a transport pooling specification")
-    kind = SolverKind.SINKHORN if isinstance(spec, UotSinkhornPooling) else SolverKind.BADMM
     base = spec.params
     d, n = task.dim, task.bag_size
     if base.p0.shape[0] != d or base.q0.shape[0] != n:
@@ -332,7 +331,7 @@ def train_synthetic(
             alpha0=weights[0], alpha1=weights[1], alpha2=weights[2], rho=weights[3],
             p0=base.p0, q0=base.q0, reg=base.reg,
         )
-        plan, _ = _solve_core(x, params, kind)
+        plan, _ = solve(x, params, spec.solver)
         pooled = pool_with_plan(x, plan)
         features = (pooled - _READOUT_CENTER) * _READOUT_SCALE
         logits = features @ v[4 * k: 4 * k + d] + v[-1]

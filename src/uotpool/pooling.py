@@ -16,20 +16,13 @@ All reference poolings broadcast over leading batch axes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 from scipy.special import expit
 
 from .numerics import row_conditional, softmax
-from .solvers import (
-    Regularizer,
-    SolverDiagnostics,
-    SolverKind,
-    UotParams,
-    badmm_uot,
-    sinkhorn_uot,
-)
+from .solvers import SolverDiagnostics, SolverKind, UotParams, solve
 
 __all__ = [
     "AttentionParams",
@@ -170,14 +163,12 @@ def uot_pool(
 ) -> tuple[np.ndarray, SolverDiagnostics]:
     """Solve for a transport plan and pool with it.
 
-    Returns the pooled D-vector along with the solver diagnostics. A plan
-    row that lost all mass raises the degenerate-row error rather than
+    ``x`` is one (D, N) matrix or a batch of them, as in :func:`solve`.
+    Returns the pooled D-vector(s) along with the solver diagnostics. A
+    plan row that lost all mass raises the degenerate-row error rather than
     silently producing zeros.
     """
-    if solver is SolverKind.SINKHORN:
-        plan, diag = sinkhorn_uot(x, params)
-    else:
-        plan, diag = badmm_uot(x, params)
+    plan, diag = solve(x, params, solver)
     return pool_with_plan(x, plan), diag
 
 
@@ -276,11 +267,13 @@ class GatedMeanMaxPooling:
 @dataclass(frozen=True)
 class UotSinkhornPooling:
     params: UotParams
+    solver: ClassVar[SolverKind] = SolverKind.SINKHORN
 
 
 @dataclass(frozen=True)
 class UotBadmmPooling:
     params: UotParams
+    solver: ClassVar[SolverKind] = SolverKind.BADMM
 
 
 @dataclass(frozen=True)
@@ -318,10 +311,8 @@ def apply_pooling(x: np.ndarray, spec: PoolingSpec) -> np.ndarray:
         return mixed_pool(x, spec.omega)
     if isinstance(spec, GatedMeanMaxPooling):
         return gated_mean_max_pool(x, spec.gate)
-    if isinstance(spec, UotSinkhornPooling):
-        return uot_pool(x, spec.params, SolverKind.SINKHORN)[0]
-    if isinstance(spec, UotBadmmPooling):
-        return uot_pool(x, spec.params, SolverKind.BADMM)[0]
+    if isinstance(spec, (UotSinkhornPooling, UotBadmmPooling)):
+        return uot_pool(x, spec.params, spec.solver)[0]
     if isinstance(spec, HierarchicalUotPooling):
         return hierarchical_uot_pool(x, spec.omega, spec.solver, spec.k_iters)
     raise TypeError(f"unknown pooling specification: {type(spec).__name__}")

@@ -19,9 +19,10 @@ fixed-depth iterative schemes are provided, each executing exactly
 
 Solvers never raise on numerical blow-up: overflow and NaN propagate to the
 returned plan and are reported through :class:`SolverDiagnostics.has_nan`.
-All public solver entry points take a single (D, N) matrix; the module-level
-step functions broadcast over leading batch axes and are reused verbatim by
-the batch experiment drivers.
+:func:`solve` is the checked entry point for one (D, N) matrix or a batch
+of shape (..., D, N); :func:`sinkhorn_uot` and :func:`badmm_uot` are its
+single-matrix forms. The module-level step functions broadcast over
+leading batch axes and are the reference the solve loop chains.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ __all__ = [
     "sinkhorn_init",
     "sinkhorn_step",
     "sinkhorn_uot",
+    "solve",
     "uot_objective",
 ]
 
@@ -164,7 +166,8 @@ class SolverDiagnostics:
 
     ``objective_trace`` holds the objective value after each of the
     ``k_iters`` modules, evaluated with that module's weights. ``has_nan``
-    is set when the final plan or any trace entry is NaN or infinite.
+    is set when the final plan or any trace entry is NaN or infinite. For a
+    batched :func:`solve` the scalar fields are totals over the items.
     """
 
     has_nan: bool
@@ -414,49 +417,26 @@ def _solve_core(
     trace with shape ``(k_iters,) + batch_shape``.
     """
     x = np.asarray(x, dtype=np.float64)
+    sinkhorn = kind is SolverKind.SINKHORN
+    state = sinkhorn_init(x, params) if sinkhorn else badmm_init(x, params)
     trace = []
-    plan = None
-    if kind is SolverKind.SINKHORN:
-        state = sinkhorn_init(x, params)
-        for k in range(params.k_iters):
-            state = sinkhorn_step(
-                state, x,
-                float(params.alpha0[k]), float(params.alpha1[k]), float(params.alpha2[k]),
-                params.p0, params.q0,
-            )
-            with np.errstate(all="ignore"):
-                plan = np.exp(state.y)
-            trace.append(_objective_core(
-                x, plan,
-                float(params.alpha0[k]), float(params.alpha1[k]), float(params.alpha2[k]),
-                params.p0, params.q0, params.reg,
-            ))
-    else:
-        state = badmm_init(x, params)
-        for k in range(params.k_iters):
-            a0 = float(params.alpha0[k])
-            a1 = float(params.alpha1[k])
-            a2 = float(params.alpha2[k])
-            rho = float(params.rho[k])
+    for k in range(params.k_iters):
+        a0 = float(params.alpha0[k])
+        a1 = float(params.alpha1[k])
+        a2 = float(params.alpha2[k])
+        rho = float(params.rho[k])
+        if sinkhorn:
+            state = sinkhorn_step(state, x, a0, a1, a2, params.p0, params.q0)
+        else:
             state = badmm_primal_update(state, x, a0, rho, params.reg)
             state = badmm_auxiliary_update(state, a0, a1, a2, rho, params.p0, params.q0, params.reg)
             state = badmm_dual_update(state, a0, rho)
-            with np.errstate(all="ignore"):
-                plan = np.exp(state.log_p)
-            trace.append(_objective_core(x, plan, a0, a1, a2, params.p0, params.q0, params.reg))
+        # Read the log plan from the state here: a name bound to it would keep
+        # the previous module's array alive through the next module's updates.
+        with np.errstate(all="ignore"):
+            plan = np.exp(state.y if sinkhorn else state.log_p)
+        trace.append(_objective_core(x, plan, a0, a1, a2, params.p0, params.q0, params.reg))
     return plan, np.stack(trace, axis=0)
-
-
-def _check_solver_input(x: np.ndarray, params: UotParams) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"input must be a 2-D matrix, got {x.ndim} dimensions")
-    d, n = params.p0.shape[0], params.q0.shape[0]
-    if x.shape != (d, n):
-        raise ValueError(
-            f"input shape {x.shape} does not match prior dimensions ({d}, {n})"
-        )
-    return x
 
 
 def _diagnostics(plan: np.ndarray, trace: np.ndarray, params: UotParams) -> SolverDiagnostics:
@@ -471,22 +451,53 @@ def _diagnostics(plan: np.ndarray, trace: np.ndarray, params: UotParams) -> Solv
         )
 
 
+def solve(
+    x: np.ndarray,
+    params: UotParams,
+    kind: SolverKind,
+) -> tuple[np.ndarray, SolverDiagnostics]:
+    """Solve one (D, N) matrix or a batch of shape (..., D, N) with ``kind``.
+
+    The trailing shape must match the priors, and the Sinkhorn scheme needs
+    the entropic regularizer. Returns the plan, shaped like ``x``, and
+    diagnostics. For a batch, ``objective_trace`` has shape
+    ``(k_iters,) + batch_shape`` and the other fields are totals over the
+    items: ``has_nan`` is set if any item is non-finite, and ``total_mass``
+    and the marginal gaps are sums. Numerical failure never raises.
+    """
+    if not isinstance(kind, SolverKind):
+        raise TypeError(f"kind must be a SolverKind, got {kind!r}")
+    if kind is SolverKind.SINKHORN and params.reg is not Regularizer.ENTROPIC:
+        raise ValueError("the Sinkhorn scheme supports only the entropic regularizer")
+    x = np.asarray(x, dtype=np.float64)
+    d, n = params.p0.shape[0], params.q0.shape[0]
+    if x.shape[-2:] != (d, n):
+        raise ValueError(
+            f"input shape {x.shape} does not match prior dimensions ({d}, {n})"
+        )
+    plan, trace = _solve_core(x, params, kind)
+    return plan, _diagnostics(plan, trace, params)
+
+
+def _require_2d(x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"input must be a 2-D matrix, got {x.ndim} dimensions")
+    return x
+
+
 def sinkhorn_uot(x: np.ndarray, params: UotParams) -> tuple[np.ndarray, SolverDiagnostics]:
-    """Solve with the damped dual-update scheme (entropic regularizer only).
+    """Solve one (D, N) matrix with the damped dual-update scheme (entropic
+    regularizer only).
 
     Returns the nonnegative plan ``exp(y)`` after the last module together
     with diagnostics. Numerical failure never raises; inspect
     ``diagnostics.has_nan``.
     """
-    if params.reg is not Regularizer.ENTROPIC:
-        raise ValueError("the Sinkhorn scheme supports only the entropic regularizer")
-    x = _check_solver_input(x, params)
-    plan, trace = _solve_core(x, params, SolverKind.SINKHORN)
-    return plan, _diagnostics(plan, trace, params)
+    return solve(_require_2d(x), params, SolverKind.SINKHORN)
 
 
 def badmm_uot(x: np.ndarray, params: UotParams) -> tuple[np.ndarray, SolverDiagnostics]:
-    """Solve with the Bregman ADMM scheme (entropic or quadratic regularizer)."""
-    x = _check_solver_input(x, params)
-    plan, trace = _solve_core(x, params, SolverKind.BADMM)
-    return plan, _diagnostics(plan, trace, params)
+    """Solve one (D, N) matrix with the Bregman ADMM scheme (entropic or
+    quadratic regularizer)."""
+    return solve(_require_2d(x), params, SolverKind.BADMM)

@@ -40,6 +40,7 @@ from uotpool import (
     hierarchical_uot_pool,
     pool_with_plan,
     ReparamState,
+    solve,
     sinkhorn_init,
     sinkhorn_step,
     sinkhorn_uot,
@@ -47,7 +48,6 @@ from uotpool import (
     uot_pool,
 )
 from uotpool.experiments import ExperimentConfig, cmd_bench
-from uotpool.solvers import _solve_core
 
 
 @contextlib.contextmanager
@@ -149,8 +149,8 @@ def test_criterion_05_objective_improves_with_depth(capsys):
             for k in depths:
                 params = UotParams.uniform(100, 500, k_iters=k, alpha0=0.1,
                                            alpha1=1.0, alpha2=1.0, rho=1.0, reg=reg)
-                _, trace = _solve_core(x, params, kind)
-                values.append(float(trace[-1].mean()))
+                _, diag = solve(x, params, kind)
+                values.append(float(diag.objective_trace[-1].mean()))
             for earlier, later in zip(values, values[1:]):
                 assert later <= earlier + 1e-6
             rel_early = abs(values[2] - values[1]) / abs(values[1])

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -254,6 +255,17 @@ class TestManifest:
                                        k_iters=1, seed=99))
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 99
+
+
+class TestOutputFiles:
+    def test_mode_matches_plain_open(self, tmp_path):
+        cmd_stability(ExperimentConfig(out=str(tmp_path), dims=(4, 6), k_iters=1))
+        with open(tmp_path / "plain.txt", "w"):
+            pass
+        expected = stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode)
+        for name in ("stability.csv", "manifest.json"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == expected
+        assert no_temp_leftovers(tmp_path)
 
 
 class TestDeterminism:

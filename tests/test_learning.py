@@ -270,6 +270,12 @@ class TestTrainSynthetic:
         with pytest.raises(ValueError, match="task dims"):
             train_synthetic(MINI_TASK, bad_spec, epochs=1, lr=1.0)
 
+    def test_sinkhorn_spec_rejects_quadratic(self):
+        spec = UotSinkhornPooling(UotParams.uniform(3, 4, k_iters=2,
+                                                    reg=Regularizer.QUADRATIC))
+        with pytest.raises(ValueError, match="entropic"):
+            train_synthetic(MINI_TASK, spec, epochs=1, lr=1.0)
+
     def test_abort_error_carries_partial_trace(self):
         err = NonFiniteLossError(3, np.array([0.7, 0.6, 0.5]))
         assert err.epoch == 3

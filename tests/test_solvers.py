@@ -19,6 +19,7 @@ from uotpool import (
     sinkhorn_init,
     sinkhorn_step,
     sinkhorn_uot,
+    solve,
     uot_objective,
 )
 from uotpool.pooling import attention_config
@@ -408,3 +409,53 @@ class TestSolverInvariants:
             solver(np.zeros((2, 3, 4)), params)
         with pytest.raises(ValueError):
             solver(np.zeros(4), params)
+
+
+class TestSolve:
+    SINGLE = {SolverKind.SINKHORN: sinkhorn_uot, SolverKind.BADMM: badmm_uot}
+
+    @pytest.mark.parametrize("kind", list(SolverKind))
+    def test_batch_matches_single_solves(self, kind):
+        xs = np.stack([random_input(s) for s in (1, 2, 3)])
+        params = UotParams.uniform(5, 10, k_iters=3, alpha0=0.1)
+        plan, diag = solve(xs, params, kind)
+        assert plan.shape == xs.shape
+        assert diag.objective_trace.shape == (3, 3)
+        singles = [self.SINGLE[kind](x, params) for x in xs]
+        for i, (p_i, d_i) in enumerate(singles):
+            np.testing.assert_array_equal(plan[i], p_i)
+            np.testing.assert_array_equal(diag.objective_trace[:, i], d_i.objective_trace)
+        assert diag.total_mass == pytest.approx(sum(d.total_mass for _, d in singles))
+        assert diag.marginal_gap_row == pytest.approx(
+            sum(d.marginal_gap_row for _, d in singles))
+
+    @pytest.mark.parametrize("kind", list(SolverKind))
+    def test_has_nan_is_or_over_items(self, kind):
+        # Tiny weights overflow the kernel scheme on random inputs but not
+        # on a zero input, so the Sinkhorn batch mixes healthy and bad items.
+        xs = np.stack([random_input(11), np.zeros((5, 10)), random_input(12)])
+        params = UotParams.uniform(5, 10, k_iters=4, alpha0=1e-5, alpha1=1e-5,
+                                   alpha2=1e-5)
+        flags = [self.SINGLE[kind](x, params)[1].has_nan for x in xs]
+        if kind is SolverKind.SINKHORN:
+            assert flags == [True, False, True]
+        assert solve(xs, params, kind)[1].has_nan == any(flags)
+        assert not solve(xs[1:2], params, kind)[1].has_nan
+
+    @pytest.mark.parametrize("kind", list(SolverKind))
+    def test_rejects_bad_shapes(self, kind):
+        params = UotParams.uniform(3, 4)
+        with pytest.raises(ValueError, match="prior dimensions"):
+            solve(np.zeros((4, 3)), params, kind)
+        with pytest.raises(ValueError, match="prior dimensions"):
+            solve(np.zeros(4), params, kind)
+
+    def test_sinkhorn_rejects_quadratic(self):
+        params = UotParams.uniform(3, 4, reg=Regularizer.QUADRATIC)
+        with pytest.raises(ValueError, match="entropic"):
+            solve(np.zeros((2, 3, 4)), params, SolverKind.SINKHORN)
+
+    def test_rejects_kind_name(self):
+        # Any non-Sinkhorn kind would otherwise run the BADMM branch.
+        with pytest.raises(TypeError, match="SolverKind"):
+            solve(np.zeros((3, 4)), UotParams.uniform(3, 4), "sinkhorn")
