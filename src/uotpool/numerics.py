@@ -9,7 +9,6 @@ interpreted as (feature dimension D, sample index N).
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp as _logsumexp
 from scipy.special import rel_entr
 from scipy.special import softmax as _softmax
 
@@ -47,20 +46,33 @@ def _require_matrix(m: np.ndarray, name: str) -> np.ndarray:
     return m
 
 
+def _logsumexp(m: np.ndarray, axis: int) -> np.ndarray:
+    # A non-finite max is replaced by 0, as scipy does: all -inf reduces to
+    # -inf, any +inf to +inf and any NaN to NaN. The exp runs in place in the
+    # one temporary buffer.
+    m = _require_matrix(m, "matrix")
+    shift = m.max(axis=axis, keepdims=True)
+    shift[~np.isfinite(shift)] = 0.0
+    tmp = np.subtract(m, shift)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.exp(tmp, out=tmp)
+        out = np.log(tmp.sum(axis=axis))
+    out += shift.squeeze(axis)
+    return out
+
+
 def logsumexp_rows(m: np.ndarray) -> np.ndarray:
     """Stable log(sum(exp(.))) over each row (reducing the sample axis N).
 
     For a (D, N) input the result is a D-vector; batched inputs reduce the
     last axis. Safe for entries up to about +-1e300 thanks to the max-shift.
     """
-    m = _require_matrix(m, "matrix")
-    return _logsumexp(m, axis=-1)
+    return _logsumexp(m, -1)
 
 
 def logsumexp_cols(m: np.ndarray) -> np.ndarray:
     """Stable log(sum(exp(.))) over each column (reducing the feature axis D)."""
-    m = _require_matrix(m, "matrix")
-    return _logsumexp(m, axis=-2)
+    return _logsumexp(m, -2)
 
 
 def softmax(v: np.ndarray) -> np.ndarray:

@@ -15,14 +15,18 @@ fixed-depth iterative schemes are provided, each executing exactly
   kernel anchored at the prior product ``p0 q0^T`` (entropic only);
 * :func:`badmm_uot` -- a Bregman ADMM splitting with auxiliary plan ``S``
   and relaxed marginals ``mu``, ``eta``, all updates in the log domain
-  (entropic or quadratic).
+  (entropic or quadratic). The marginals are inert: each projection onto
+  them keeps them at the priors and their duals at rounding level, so the
+  weights ``a1`` and ``a2`` reach this scheme only through the objective.
 
 Solvers never raise on numerical blow-up: overflow and NaN propagate to the
 returned plan and are reported through :class:`SolverDiagnostics.has_nan`.
 :func:`solve` is the checked entry point for one (D, N) matrix or a batch
 of shape (..., D, N); :func:`sinkhorn_uot` and :func:`badmm_uot` are its
 single-matrix forms. The module-level step functions broadcast over
-leading batch axes and are the reference the solve loop chains.
+leading batch axes. The solve loop does not call them: it runs a lean
+version of the same updates, and the step functions are the reference it
+is tested against.
 """
 
 from __future__ import annotations
@@ -106,6 +110,8 @@ class UotParams:
             object.__setattr__(self, name, w)
         for name in ("p0", "q0"):
             v = validate_simplex(getattr(self, name), name).copy()
+            if np.any(v <= 0):
+                raise ValueError(f"{name} entries must be strictly positive")
             v.flags.writeable = False
             object.__setattr__(self, name, v)
 
@@ -182,7 +188,8 @@ class SinkhornState:
     """Dual variables ``a`` (length D), ``b`` (length N) and the log-domain
     kernel ``y`` they induce. Freshly initialized states carry ``a = b = 0``
     and ``y`` equal to the scaled cost ``X / alpha0[0]``; each step rebuilds
-    ``y`` from the duals before using it."""
+    ``y`` from the duals before using it. The solve loop keeps only the
+    duals; this state and :func:`sinkhorn_step` are its reference."""
 
     a: np.ndarray
     b: np.ndarray
@@ -200,11 +207,6 @@ class BadmmState:
     z_mat: np.ndarray
     z1: np.ndarray
     z2: np.ndarray
-
-
-def _log_prior(v: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(v)
 
 
 def _kernel(
@@ -248,8 +250,8 @@ def sinkhorn_step(
     """
     g1 = alpha1_k / (alpha0_k + alpha1_k)
     g2 = alpha2_k / (alpha0_k + alpha2_k)
-    log_p0 = _log_prior(p0)
-    log_q0 = _log_prior(q0)
+    log_p0 = np.log(p0)
+    log_q0 = np.log(q0)
     a, b = state.a, state.b
     with np.errstate(all="ignore"):
         y = _kernel(x, a, b, alpha0_k, log_p0, log_q0)
@@ -265,8 +267,8 @@ def badmm_init(x: np.ndarray, params: UotParams) -> BadmmState:
     x = np.asarray(x, dtype=np.float64)
     batch = x.shape[:-2]
     d, n = x.shape[-2], x.shape[-1]
-    log_p0 = _log_prior(params.p0)
-    log_q0 = _log_prior(params.q0)
+    log_p0 = np.log(params.p0)
+    log_q0 = np.log(params.q0)
     log_joint = np.broadcast_to(log_p0[:, None] + log_q0[None, :], batch + (d, n)).copy()
     return BadmmState(
         log_p=log_joint,
@@ -320,8 +322,8 @@ def badmm_auxiliary_update(
     module, while ``log_s`` and ``log_eta`` still hold the previous
     module's values.
     """
-    log_p0 = _log_prior(p0)
-    log_q0 = _log_prior(q0)
+    log_p0 = np.log(p0)
+    log_q0 = np.log(q0)
     with np.errstate(all="ignore"):
         if reg is Regularizer.ENTROPIC:
             y = (state.z_mat + rho_k * state.log_p) / (alpha0_k + rho_k)
@@ -406,6 +408,55 @@ def uot_objective(
     return float(_objective_core(x, p, alpha0, alpha1, alpha2, p0, q0, reg))
 
 
+def _sinkhorn_plans(x: np.ndarray, params: UotParams, log_p0: np.ndarray, log_q0: np.ndarray):
+    """Yield the plan after each module of :func:`sinkhorn_step`'s updates.
+
+    With the scaled cost ``C = x / alpha0 + log p0 (+) log q0``, the identity
+    ``lse_rows(C + a + b) = a + lse_rows(C + b)`` makes each module two
+    reductions; the plan is ``exp(C + a + b)``, built in place. Each module
+    reuses the buffer of the plan yielded before it.
+    """
+    a = np.zeros(x.shape[:-1])
+    b = np.zeros(x.shape[:-2] + x.shape[-1:])
+    c = None
+    for k in range(params.k_iters):
+        a0, a1, a2 = float(params.alpha0[k]), float(params.alpha1[k]), float(params.alpha2[k])
+        c = np.divide(x, a0, out=c)
+        c += log_p0[:, None]
+        c += log_q0
+        a = a1 / (a0 + a1) * (log_p0 - logsumexp_rows(c + b[..., None, :]))
+        b = a2 / (a0 + a2) * (log_q0 - logsumexp_cols(c + a[..., :, None]))
+        c += a[..., :, None]
+        c += b[..., None, :]
+        yield np.exp(c, out=c)
+
+
+def _badmm_plans(x: np.ndarray, params: UotParams, log_p0: np.ndarray, log_q0: np.ndarray):
+    """Yield the plan after each module of the three BADMM updates.
+
+    The relaxed marginals stay at the priors and their duals at rounding
+    level, so the projections use ``log p0`` and ``log q0`` directly and only
+    ``log_s`` and ``z`` are carried. Each update keeps the step functions'
+    operation order; numpy reuses the temporaries of large arrays in place.
+    """
+    quadratic = params.reg is Regularizer.QUADRATIC
+    log_s = np.broadcast_to(log_p0[:, None] + log_q0, x.shape).copy()
+    z = np.zeros(x.shape)
+    for k in range(params.k_iters):
+        a0, rho = float(params.alpha0[k]), float(params.rho[k])
+        if quadratic:
+            s = a0 * np.exp(log_s)
+            log_p = (x - s - z) / rho + log_s
+        else:
+            log_p = (x - z) / rho + log_s
+        log_p += (log_p0 - logsumexp_rows(log_p))[..., :, None]
+        log_s = (z - s) / rho + log_p if quadratic else (rho * log_p + z) / (a0 + rho)
+        log_s += (log_q0 - logsumexp_cols(log_s))[..., None, :]
+        p = np.exp(log_p, out=log_p)
+        z += a0 * (p - np.exp(log_s))
+        yield p
+
+
 def _solve_core(
     x: np.ndarray,
     params: UotParams,
@@ -417,25 +468,12 @@ def _solve_core(
     trace with shape ``(k_iters,) + batch_shape``.
     """
     x = np.asarray(x, dtype=np.float64)
-    sinkhorn = kind is SolverKind.SINKHORN
-    state = sinkhorn_init(x, params) if sinkhorn else badmm_init(x, params)
+    modules = _sinkhorn_plans if kind is SolverKind.SINKHORN else _badmm_plans
     trace = []
-    for k in range(params.k_iters):
-        a0 = float(params.alpha0[k])
-        a1 = float(params.alpha1[k])
-        a2 = float(params.alpha2[k])
-        rho = float(params.rho[k])
-        if sinkhorn:
-            state = sinkhorn_step(state, x, a0, a1, a2, params.p0, params.q0)
-        else:
-            state = badmm_primal_update(state, x, a0, rho, params.reg)
-            state = badmm_auxiliary_update(state, a0, a1, a2, rho, params.p0, params.q0, params.reg)
-            state = badmm_dual_update(state, a0, rho)
-        # Read the log plan from the state here: a name bound to it would keep
-        # the previous module's array alive through the next module's updates.
-        with np.errstate(all="ignore"):
-            plan = np.exp(state.y if sinkhorn else state.log_p)
-        trace.append(_objective_core(x, plan, a0, a1, a2, params.p0, params.q0, params.reg))
+    with np.errstate(all="ignore"):
+        for k, plan in enumerate(modules(x, params, np.log(params.p0), np.log(params.q0))):
+            weights = (float(w[k]) for w in (params.alpha0, params.alpha1, params.alpha2))
+            trace.append(_objective_core(x, plan, *weights, params.p0, params.q0, params.reg))
     return plan, np.stack(trace, axis=0)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.special import logsumexp
 
 from uotpool import (
     DegenerateRowError,
@@ -61,6 +62,43 @@ class TestLogsumexp:
         np.testing.assert_allclose(
             logsumexp_rows(m + c), logsumexp_rows(m) + c, atol=1e-9
         )
+
+    @settings(max_examples=200)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=4, max_side=7),
+                      elements=st.floats(min_value=-1e3, max_value=1e3)))
+    def test_matches_scipy(self, m):
+        # The error of a log-sum-exp is bounded relative to its largest input
+        # magnitude: an output near zero comes from cancellation, in scipy too.
+        for ours, axis in ((logsumexp_rows, -1), (logsumexp_cols, -2)):
+            want = logsumexp(m, axis=axis)
+            scale = np.maximum(np.abs(want), np.abs(m).max(axis=axis))
+            assert np.all(np.abs(ours(m) - want) <= 1e-15 * scale)
+
+    @pytest.mark.parametrize("row", [
+        [-np.inf, -np.inf, -np.inf],
+        [np.inf, 1.0, -2.0],
+        [np.nan, 1.0, -2.0],
+        [np.inf, -np.inf, 0.5],
+        [np.inf, np.nan, 0.5],
+        [800.0, np.inf, -np.inf],
+        [-np.inf, 2.0, -np.inf],
+    ])
+    def test_non_finite_rows_match_scipy(self, row):
+        # assert_allclose requires non-finite entries to match exactly.
+        m = np.array([row, [0.0, 1.0, 2.0]])
+        np.testing.assert_allclose(logsumexp_rows(m), logsumexp(m, axis=-1), rtol=1e-15)
+        np.testing.assert_allclose(logsumexp_cols(m.T), logsumexp(m.T, axis=-2), rtol=1e-15)
+
+    @pytest.mark.parametrize("fill", [0.0, np.inf, -np.inf, np.nan])
+    def test_input_unchanged(self, fill):
+        m = np.random.default_rng(0).uniform(-3.0, 3.0, (2, 3, 4))
+        m[0, 1, :] = fill
+        m[1, :, 2] = fill
+        before = m.copy()
+        m.flags.writeable = False
+        logsumexp_rows(m)
+        logsumexp_cols(m)
+        np.testing.assert_array_equal(m, before)
 
 
 class TestSoftmax:

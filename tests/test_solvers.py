@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uotpool import (
     Regularizer,
@@ -24,9 +26,44 @@ from uotpool import (
 )
 from uotpool.pooling import attention_config
 
+SOLVER_CONFIGS = [
+    (SolverKind.SINKHORN, Regularizer.ENTROPIC),
+    (SolverKind.BADMM, Regularizer.ENTROPIC),
+    (SolverKind.BADMM, Regularizer.QUADRATIC),
+]
+
 
 def random_input(seed, d=5, n=10):
     return np.random.default_rng(seed).uniform(0.0, 1.0, (d, n))
+
+
+def chained_solve(x, params, kind):
+    """Plan and objective trace from chaining the public step functions.
+
+    Trace entries of a module whose plan is not finite are NaN.
+    """
+    batch = x.shape[:-2]
+    trace = []
+    with np.errstate(all="ignore"):
+        state = sinkhorn_init(x, params) if kind is SolverKind.SINKHORN else badmm_init(x, params)
+        for k in range(params.k_iters):
+            a0, a1, a2, rho = (float(w[k]) for w in
+                               (params.alpha0, params.alpha1, params.alpha2, params.rho))
+            if kind is SolverKind.SINKHORN:
+                state = sinkhorn_step(state, x, a0, a1, a2, params.p0, params.q0)
+                plan = np.exp(state.y)
+            else:
+                state = badmm_primal_update(state, x, a0, rho, params.reg)
+                state = badmm_auxiliary_update(state, a0, a1, a2, rho, params.p0, params.q0,
+                                               params.reg)
+                state = badmm_dual_update(state, a0, rho)
+                plan = np.exp(state.log_p)
+            trace.append(np.reshape([
+                uot_objective(x[i], plan[i], a0, a1, a2, params.p0, params.q0, params.reg)
+                if np.isfinite(plan[i]).all() else np.nan
+                for i in np.ndindex(batch)
+            ], batch))
+    return plan, np.stack(trace)
 
 
 class TestUotParams:
@@ -55,6 +92,15 @@ class TestUotParams:
     def test_rejects_bad_weights(self, kwargs):
         with pytest.raises(ValueError):
             UotParams.uniform(3, 4, k_iters=kwargs.pop("k_iters", 4), **kwargs)
+
+    @pytest.mark.parametrize("p0,q0", [
+        ([0.0, 0.5, 0.5], [0.25, 0.25, 0.25, 0.25]),
+        ([0.5, 0.25, 0.25], [0.5, 0.0, 0.25, 0.25]),
+    ])
+    def test_rejects_zero_prior_entry(self, p0, q0):
+        # log 0 = -inf made every entry of every plan NaN.
+        with pytest.raises(ValueError, match="positive"):
+            UotParams.constant(np.array(p0), np.array(q0))
 
     def test_rejects_non_simplex_priors(self):
         with pytest.raises(ValueError):
@@ -459,3 +505,46 @@ class TestSolve:
         # Any non-Sinkhorn kind would otherwise run the BADMM branch.
         with pytest.raises(TypeError, match="SolverKind"):
             solve(np.zeros((3, 4)), UotParams.uniform(3, 4), "sinkhorn")
+
+
+class TestSolveCoreMatchesSteps:
+    """The solve loop against :func:`chained_solve` over the public steps."""
+
+    # Weights stay within [0.05, 5]: from alpha0 of about 100 up, the BADMM
+    # dual step z += alpha0 (P - S) amplifies rounding differences between
+    # the two operation orders (up to 8e-8 relative at alpha0 = 1e4), so a
+    # wider range would only measure that amplification.
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(SOLVER_CONFIGS),
+        st.integers(1, 8),
+        st.integers(1, 8),
+        st.integers(1, 11),
+        st.lists(st.integers(1, 3), max_size=2),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_plans_and_traces_match(self, config, k, d, n, batch, seed):
+        kind, reg = config
+        rng = np.random.default_rng(seed)
+        weights = np.exp(rng.uniform(np.log(0.05), np.log(5.0), (4, k)))
+        params = UotParams(k, *weights, rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(n)), reg)
+        x = rng.uniform(-3.0, 3.0, tuple(batch) + (d, n))
+        plan, diag = solve(x, params, kind)
+        ref_plan, ref_trace = chained_solve(x, params, kind)
+        np.testing.assert_allclose(plan, ref_plan, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(diag.objective_trace, ref_trace, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("kind,reg", SOLVER_CONFIGS)
+    def test_stability_grid_non_finite_parity(self, kind, reg):
+        # The ``uotpool stability`` grid, where the kernel scheme overflows
+        # in some corners: finiteness must match entry by entry.
+        x = random_input(0)
+        decades = [10.0 ** e for e in range(-5, 5)]
+        for a0 in decades:
+            for a12 in decades:
+                params = UotParams.uniform(5, 10, k_iters=4, alpha0=a0, alpha1=a12,
+                                           alpha2=a12, rho=1.0, reg=reg)
+                plan, diag = solve(x, params, kind)
+                ref_plan, ref_trace = chained_solve(x, params, kind)
+                np.testing.assert_array_equal(np.isfinite(plan), np.isfinite(ref_plan))
+                assert diag.has_nan == (not np.isfinite(ref_trace).all())
