@@ -103,14 +103,16 @@ def softplus_inverse(y: np.ndarray | float) -> np.ndarray | float:
 def kl_divergence(a: np.ndarray, b: np.ndarray) -> float:
     """Generalized KL divergence sum(a log(a/b)) - sum(a) + sum(b).
 
-    Inputs need not be normalized; ``a`` may contain zeros (0 log 0 := 0)
-    but ``b`` must be strictly positive. Nonnegative whenever both inputs
-    are probability vectors.
+    Inputs must be finite and need not be normalized; ``a`` may contain
+    zeros (0 log 0 := 0) but ``b`` must be strictly positive. Nonnegative
+    whenever both inputs are probability vectors.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("arguments must be finite")
     if np.any(a < 0):
         raise ValueError("first argument must be nonnegative")
     if np.any(b <= 0):
@@ -137,10 +139,12 @@ def row_conditional(p: np.ndarray) -> np.ndarray:
 
 
 def validate_simplex(v: np.ndarray, name: str = "weights") -> np.ndarray:
-    """Check that ``v`` is a probability vector (nonnegative, sums to one)."""
+    """Check that ``v`` is a probability vector (finite, nonnegative, sums to one)."""
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-D vector")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} entries must be finite")
     if np.any(v < 0):
         raise ValueError(f"{name} must be nonnegative")
     if abs(float(v.sum()) - 1.0) > 1e-9:

@@ -23,16 +23,17 @@ Solvers never raise on numerical blow-up: overflow and NaN propagate to the
 returned plan and are reported through :class:`SolverDiagnostics.has_nan`.
 :func:`solve` is the checked entry point for one (D, N) matrix or a batch
 of shape (..., D, N); :func:`sinkhorn_uot` and :func:`badmm_uot` are its
-single-matrix forms. The module-level step functions broadcast over
-leading batch axes. The solve loop does not call them: it runs a lean
-version of the same updates, and the step functions are the reference it
-is tested against.
+single-matrix forms, and :func:`solve_vjp` adds reverse-mode gradients.
+The module-level step functions broadcast over leading batch axes. The
+solve loop does not call them: it runs a lean version of the same
+updates, and the step functions are the reference it is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 from scipy.special import rel_entr, xlogy
@@ -55,6 +56,7 @@ __all__ = [
     "sinkhorn_step",
     "sinkhorn_uot",
     "solve",
+    "solve_vjp",
     "uot_objective",
 ]
 
@@ -408,13 +410,21 @@ def uot_objective(
     return float(_objective_core(x, p, alpha0, alpha1, alpha2, p0, q0, reg))
 
 
-def _sinkhorn_plans(x: np.ndarray, params: UotParams, log_p0: np.ndarray, log_q0: np.ndarray):
+def _sinkhorn_plans(
+    x: np.ndarray,
+    params: UotParams,
+    log_p0: np.ndarray,
+    log_q0: np.ndarray,
+    tape: list | None = None,
+):
     """Yield the plan after each module of :func:`sinkhorn_step`'s updates.
 
     With the scaled cost ``C = x / alpha0 + log p0 (+) log q0``, the identity
     ``lse_rows(C + a + b) = a + lse_rows(C + b)`` makes each module two
     reductions; the plan is ``exp(C + a + b)``, built in place. Each module
-    reuses the buffer of the plan yielded before it.
+    reuses the buffer of the plan yielded before it. A module reads only the
+    column dual ``b`` of the one before; ``tape`` records it with the
+    module's two reduction results ``u_row`` and ``u_col``.
     """
     a = np.zeros(x.shape[:-1])
     b = np.zeros(x.shape[:-2] + x.shape[-1:])
@@ -424,25 +434,38 @@ def _sinkhorn_plans(x: np.ndarray, params: UotParams, log_p0: np.ndarray, log_q0
         c = np.divide(x, a0, out=c)
         c += log_p0[:, None]
         c += log_q0
-        a = a1 / (a0 + a1) * (log_p0 - logsumexp_rows(c + b[..., None, :]))
-        b = a2 / (a0 + a2) * (log_q0 - logsumexp_cols(c + a[..., :, None]))
+        u_row = log_p0 - logsumexp_rows(c + b[..., None, :])
+        a = a1 / (a0 + a1) * u_row
+        u_col = log_q0 - logsumexp_cols(c + a[..., :, None])
+        if tape is not None:
+            tape.append((b, u_row, u_col))
+        b = a2 / (a0 + a2) * u_col
         c += a[..., :, None]
         c += b[..., None, :]
         yield np.exp(c, out=c)
 
 
-def _badmm_plans(x: np.ndarray, params: UotParams, log_p0: np.ndarray, log_q0: np.ndarray):
+def _badmm_plans(
+    x: np.ndarray,
+    params: UotParams,
+    log_p0: np.ndarray,
+    log_q0: np.ndarray,
+    tape: list | None = None,
+):
     """Yield the plan after each module of the three BADMM updates.
 
     The relaxed marginals stay at the priors and their duals at rounding
     level, so the projections use ``log p0`` and ``log q0`` directly and only
-    ``log_s`` and ``z`` are carried. Each update keeps the step functions'
-    operation order; numpy reuses the temporaries of large arrays in place.
+    ``log_s`` and ``z`` are carried, recorded in ``tape`` as each module starts
+    (``z`` is updated in place, so as a copy). Each update keeps the step
+    functions' operation order; numpy reuses large temporaries in place.
     """
     quadratic = params.reg is Regularizer.QUADRATIC
     log_s = np.broadcast_to(log_p0[:, None] + log_q0, x.shape).copy()
     z = np.zeros(x.shape)
     for k in range(params.k_iters):
+        if tape is not None:
+            tape.append((log_s, z.copy()))
         a0, rho = float(params.alpha0[k]), float(params.rho[k])
         if quadratic:
             s = a0 * np.exp(log_s)
@@ -457,6 +480,95 @@ def _badmm_plans(x: np.ndarray, params: UotParams, log_p0: np.ndarray, log_q0: n
         yield p
 
 
+def _sinkhorn_pullback(x, params, log_p0, log_q0, tape, plan_bar) -> np.ndarray:
+    """Gradient of ``<plan_bar, plan>`` for the weights, modules in reverse.
+
+    The taped reductions rebuild each module's row and column softmaxes;
+    times the dual cotangents, they form the scaled cost's cotangent ``s``.
+    """
+    grad = np.zeros((4, params.k_iters))
+    for k in reversed(range(params.k_iters)):
+        a0, a1, a2 = float(params.alpha0[k]), float(params.alpha1[k]), float(params.alpha2[k])
+        g1, g2 = a1 / (a0 + a1), a2 / (a0 + a2)
+        b_prev, u_row, u_col = tape[k]
+        c = np.divide(x, a0)
+        c += log_p0[:, None]
+        c += log_q0
+        s = c + (g1 * u_row)[..., :, None]
+        if k == params.k_iters - 1:
+            s += (g2 * u_col)[..., None, :]
+            np.exp(s, out=s)
+            s *= plan_bar
+            a_bar, b_bar, cx = s.sum(axis=-1), s.sum(axis=-2), np.vdot(s, x)
+            np.add(c, (g1 * u_row)[..., :, None], out=s)
+        else:
+            a_bar, cx = np.zeros_like(u_row), 0.0
+        s += (u_col - log_q0)[..., None, :]
+        np.exp(s, out=s)
+        s *= (-g2 * b_bar)[..., None, :]
+        a_bar += s.sum(axis=-1)
+        cx += np.vdot(s, x)
+        g2_bar = np.vdot(b_bar, u_col)
+        np.add(c, b_prev[..., None, :], out=s)
+        s += (u_row - log_p0)[..., :, None]
+        np.exp(s, out=s)
+        s *= (-g1 * a_bar)[..., :, None]
+        b_bar = s.sum(axis=-2)
+        cx += np.vdot(s, x)
+        g1_bar = np.vdot(a_bar, u_row)
+        grad[0, k] = -cx / a0**2 - (g1_bar * a1 / (a0 + a1) ** 2 + g2_bar * a2 / (a0 + a2) ** 2)
+        grad[1, k] = g1_bar * a0 / (a0 + a1) ** 2
+        grad[2, k] = g2_bar * a0 / (a0 + a2) ** 2
+    return grad
+
+
+def _badmm_pullback(x, params, log_p0, log_q0, tape, plan_bar) -> np.ndarray:
+    """Gradient of ``<plan_bar, plan>`` for the weights, modules in reverse.
+
+    Each module is rebuilt from the ``(log_s, z)`` it read. ``y1`` and
+    ``y2`` are the primal and auxiliary logits before their projections;
+    ``s_bar`` and ``z_bar`` carry the state cotangents back one module.
+    """
+    quadratic = params.reg is Regularizer.QUADRATIC
+    grad = np.zeros((4, params.k_iters))
+    s_bar, z_bar = np.zeros(x.shape), np.zeros(x.shape)
+    for k in reversed(range(params.k_iters)):
+        log_s, z = tape[k]
+        a0, rho = float(params.alpha0[k]), float(params.rho[k])
+        e = np.exp(log_s) if quadratic else 0.0
+        y1 = (x - a0 * e - z) / rho + log_s
+        log_p = y1 + (log_p0 - logsumexp_rows(y1))[..., :, None]
+        y2 = (z - a0 * e) / rho + log_p if quadratic else (rho * log_p + z) / (a0 + rho)
+        s_new = np.exp(y2 + (log_q0 - logsumexp_cols(y2))[..., None, :])
+        p = np.exp(log_p)
+        grad[0, k] = np.vdot(z_bar, p - s_new)
+        s_bar -= a0 * z_bar * s_new
+        y2_bar = s_bar - s_new / params.q0 * s_bar.sum(axis=-2)[..., None, :]
+        lp_bar = (a0 * z_bar + (plan_bar if k == params.k_iters - 1 else 0.0)) * p
+        if quadratic:
+            lp_bar += y2_bar
+            z_bar = z_bar + y2_bar / rho
+            grad[0, k] -= np.vdot(y2_bar, e) / rho
+            grad[3, k] = -np.vdot(y2_bar, y2 - log_p) / rho
+        else:
+            lp_bar += rho / (a0 + rho) * y2_bar
+            z_bar = z_bar + y2_bar / (a0 + rho)
+            grad[0, k] -= np.vdot(y2_bar, y2) / (a0 + rho)
+            grad[3, k] = np.vdot(y2_bar, log_p - y2) / (a0 + rho)
+        y1_bar = lp_bar - p / params.p0[:, None] * lp_bar.sum(axis=-1)[..., :, None]
+        z_bar -= y1_bar / rho
+        grad[0, k] -= np.vdot(y1_bar, e) / rho if quadratic else 0.0
+        grad[3, k] -= np.vdot(y1_bar, y1 - log_s) / rho
+        s_bar = y1_bar - a0 / rho * e * (y1_bar + y2_bar) if quadratic else y1_bar
+    return grad
+
+
+_SCHEMES = {
+    SolverKind.SINKHORN: (_sinkhorn_plans, _sinkhorn_pullback),
+    SolverKind.BADMM: (_badmm_plans, _badmm_pullback),
+}
+
+
 def _solve_core(
     x: np.ndarray,
     params: UotParams,
@@ -468,7 +580,7 @@ def _solve_core(
     trace with shape ``(k_iters,) + batch_shape``.
     """
     x = np.asarray(x, dtype=np.float64)
-    modules = _sinkhorn_plans if kind is SolverKind.SINKHORN else _badmm_plans
+    modules = _SCHEMES[kind][0]
     trace = []
     with np.errstate(all="ignore"):
         for k, plan in enumerate(modules(x, params, np.log(params.p0), np.log(params.q0))):
@@ -503,6 +615,45 @@ def solve(
     items: ``has_nan`` is set if any item is non-finite, and ``total_mass``
     and the marginal gaps are sums. Numerical failure never raises.
     """
+    plan, trace = _solve_core(_checked_input(x, params, kind), params, kind)
+    return plan, _diagnostics(plan, trace, params)
+
+
+def solve_vjp(
+    x: np.ndarray,
+    params: UotParams,
+    kind: SolverKind,
+) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """The plan of :func:`solve` and its pullback for the solver weights.
+
+    Same input and checks as :func:`solve`, same modules, but no objective
+    trace or diagnostics; it records the small state each module reads.
+    ``pullback(plan_bar)`` returns the gradient of ``sum(plan_bar * plan)``
+    with respect to ``alpha0 | alpha1 | alpha2 | rho`` as a ``(4, k_iters)``
+    array, summed over batch items, by differentiating the unrolled modules
+    in reverse. Weights that do not reach the plan get exact zeros: ``rho``
+    for Sinkhorn, ``alpha1`` and ``alpha2`` for BADMM. The pullback reads
+    ``x``, which must not change in between. Non-finite values propagate.
+    """
+    x = _checked_input(x, params, kind)
+    modules, pullback = _SCHEMES[kind]
+    log_p0, log_q0 = np.log(params.p0), np.log(params.q0)
+    tape: list = []
+    with np.errstate(all="ignore"):
+        for plan in modules(x, params, log_p0, log_q0, tape):
+            pass
+
+    def vjp(plan_bar: np.ndarray) -> np.ndarray:
+        plan_bar = np.asarray(plan_bar, dtype=np.float64)
+        if plan_bar.shape != x.shape:
+            raise ValueError(f"plan_bar shape {plan_bar.shape} does not match plan {x.shape}")
+        with np.errstate(all="ignore"):
+            return pullback(x, params, log_p0, log_q0, tape, plan_bar)
+
+    return plan, vjp
+
+
+def _checked_input(x: np.ndarray, params: UotParams, kind: SolverKind) -> np.ndarray:
     if not isinstance(kind, SolverKind):
         raise TypeError(f"kind must be a SolverKind, got {kind!r}")
     if kind is SolverKind.SINKHORN and params.reg is not Regularizer.ENTROPIC:
@@ -510,11 +661,8 @@ def solve(
     x = np.asarray(x, dtype=np.float64)
     d, n = params.p0.shape[0], params.q0.shape[0]
     if x.shape[-2:] != (d, n):
-        raise ValueError(
-            f"input shape {x.shape} does not match prior dimensions ({d}, {n})"
-        )
-    plan, trace = _solve_core(x, params, kind)
-    return plan, _diagnostics(plan, trace, params)
+        raise ValueError(f"input shape {x.shape} does not match prior dimensions ({d}, {n})")
+    return x
 
 
 def _require_2d(x: np.ndarray) -> np.ndarray:

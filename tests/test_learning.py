@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import uotpool.learning
 from uotpool import (
     AttentionParams,
     FixedUniform,
@@ -13,6 +16,7 @@ from uotpool import (
     ReparamState,
     SolverKind,
     SyntheticTask,
+    UotBadmmPooling,
     UotParams,
     UotSinkhornPooling,
     fd_gradient,
@@ -20,6 +24,9 @@ from uotpool import (
     materialize_params,
     pool_with_plan,
     sinkhorn_uot,
+    softplus,
+    softplus_inverse,
+    solve,
     train_synthetic,
     uot_pool,
 )
@@ -240,6 +247,38 @@ MINI_TASK = SyntheticTask(n_bags=8, bag_size=4, dim=3,
 MINI_SPEC = UotSinkhornPooling(UotParams.uniform(3, 4, k_iters=2))
 
 
+def fd_train(task, spec, epochs, lr, eps=1e-5):
+    """Loss trace of ``train_synthetic``'s algorithm on central differences.
+
+    Softplus solver weights and a linear readout of the pooled features,
+    standardized by the uniform [0, 1] mean 1/2 and standard deviation
+    1/sqrt(12); mean logistic loss; full-batch steps on a central-difference
+    gradient, each probe a full :func:`solve`.
+    """
+    x, y = generate_task_data(task)
+    base = spec.params
+    k, d = base.k_iters, task.dim
+    vec = np.concatenate([softplus_inverse(w) for w in (base.alpha0, base.alpha1, base.alpha2,
+                                                        base.rho)] + [np.zeros(d + 1)])
+
+    def loss(v):
+        weights = softplus(v[: 4 * k]).reshape(4, k)
+        plan, _ = solve(x, UotParams(k, *weights, base.p0, base.q0, base.reg), spec.solver)
+        logits = ((pool_with_plan(x, plan) - 0.5) * np.sqrt(12.0)) @ v[4 * k: 4 * k + d] + v[-1]
+        return float(np.logaddexp(0.0, -y * logits).mean())
+
+    trace = [loss(vec)]
+    for _ in range(epochs):
+        grad = np.zeros_like(vec)
+        for j in range(vec.size):
+            step = np.zeros_like(vec)
+            step[j] = eps
+            grad[j] = (loss(vec + step) - loss(vec - step)) / (2.0 * eps)
+        vec = vec - lr * grad
+        trace.append(loss(vec))
+    return np.asarray(trace)
+
+
 class TestTrainSynthetic:
     def test_initial_loss_is_log_two(self):
         trace = train_synthetic(MINI_TASK, MINI_SPEC, epochs=0, lr=1.0)
@@ -275,6 +314,39 @@ class TestTrainSynthetic:
                                                     reg=Regularizer.QUADRATIC))
         with pytest.raises(ValueError, match="entropic"):
             train_synthetic(MINI_TASK, spec, epochs=1, lr=1.0)
+
+    @pytest.mark.parametrize("spec", [
+        MINI_SPEC,
+        UotBadmmPooling(UotParams.uniform(3, 4, k_iters=2)),
+        UotBadmmPooling(UotParams.uniform(3, 4, k_iters=2, reg=Regularizer.QUADRATIC)),
+    ], ids=["sinkhorn", "badmm_entropic", "badmm_quadratic"])
+    def test_matches_central_difference_training(self, spec):
+        trace = train_synthetic(MINI_TASK, spec, epochs=3, lr=3.0)
+        np.testing.assert_allclose(trace, fd_train(MINI_TASK, spec, epochs=3, lr=3.0),
+                                   rtol=1e-8, atol=0.0)
+
+    @pytest.mark.parametrize("epochs,lr", [(-3, 1.0), (2.7, 1.0), (1, float("nan")),
+                                           (1, float("inf"))])
+    def test_rejects_bad_arguments_before_solving(self, epochs, lr, monkeypatch):
+        monkeypatch.setattr(uotpool.learning, "generate_task_data", None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="epochs|lr"):
+                train_synthetic(MINI_TASK, MINI_SPEC, epochs=epochs, lr=lr)
+
+    def test_non_finite_gradient_aborts_with_partial_trace(self, monkeypatch):
+        real = uotpool.learning.solve_vjp
+
+        def nan_pullback(x, params, kind):
+            plan, _ = real(x, params, kind)
+            return plan, lambda plan_bar: np.full((4, params.k_iters), np.nan)
+
+        initial = train_synthetic(MINI_TASK, MINI_SPEC, epochs=0, lr=1.0)
+        monkeypatch.setattr(uotpool.learning, "solve_vjp", nan_pullback)
+        with pytest.raises(NonFiniteLossError) as info:
+            train_synthetic(MINI_TASK, MINI_SPEC, epochs=3, lr=1.0)
+        assert info.value.epoch == 1
+        np.testing.assert_array_equal(info.value.trace, initial)
 
     def test_abort_error_carries_partial_trace(self):
         err = NonFiniteLossError(3, np.array([0.7, 0.6, 0.5]))

@@ -185,6 +185,16 @@ class TestKlDivergence:
         with pytest.raises(ValueError):
             kl_divergence([0.5, 0.5], [0.0, 1.0])
 
+    @pytest.mark.parametrize("a,b", [
+        ([np.nan, 1.0], [0.5, 0.5]),
+        ([0.5, 0.5], [np.nan, 0.5]),
+        ([np.inf, 1.0], [0.5, 0.5]),
+        ([0.5, 0.5], [np.inf, 0.5]),
+    ])
+    def test_rejects_non_finite(self, a, b):
+        with pytest.raises(ValueError, match="finite"):
+            kl_divergence(a, b)
+
     @settings(max_examples=100)
     @given(
         hnp.arrays(np.float64, (4,), elements=st.floats(min_value=0.0, max_value=10.0)),
@@ -238,3 +248,8 @@ class TestValidateSimplex:
     def test_rejects_invalid(self, bad):
         with pytest.raises(ValueError):
             validate_simplex(bad)
+
+    def test_rejects_nan_entry(self):
+        # NaN fails neither ``v < 0`` nor the tolerance on the sum.
+        with pytest.raises(ValueError, match="finite"):
+            validate_simplex(np.array([np.nan, 0.5, 0.5]))

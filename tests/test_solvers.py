@@ -22,6 +22,7 @@ from uotpool import (
     sinkhorn_step,
     sinkhorn_uot,
     solve,
+    solve_vjp,
     uot_objective,
 )
 from uotpool.pooling import attention_config
@@ -75,6 +76,13 @@ class TestUotParams:
     def test_per_module_weights_kept(self):
         p = UotParams.uniform(3, 4, k_iters=3, alpha1=[1.0, 2.0, 3.0])
         np.testing.assert_array_equal(p.alpha1, [1.0, 2.0, 3.0])
+
+    def test_rejects_non_finite_prior_entry(self):
+        # NaN passes both the sign and the sum check of a simplex test.
+        with pytest.raises(ValueError, match="finite"):
+            UotParams.constant(np.array([np.nan, 0.5, 0.5]), np.full(4, 0.25))
+        with pytest.raises(ValueError, match="finite"):
+            UotParams.constant(np.full(3, 1 / 3), np.array([0.5, np.nan, 0.25, 0.25]))
 
     def test_arrays_are_read_only(self):
         p = UotParams.uniform(3, 4)
@@ -548,3 +556,67 @@ class TestSolveCoreMatchesSteps:
                 ref_plan, ref_trace = chained_solve(x, params, kind)
                 np.testing.assert_array_equal(np.isfinite(plan), np.isfinite(ref_plan))
                 assert diag.has_nan == (not np.isfinite(ref_trace).all())
+
+
+class TestSolveVjp:
+    """The pullback against central differences of ``<plan_bar, plan>``."""
+
+    # Fourth-order central differences with steps of 1e-4 of each weight;
+    # two-point ones at 1e-5 already carry up to 3e-6 relative rounding
+    # error where the gradient is small. Gradients are compared relative to
+    # the larger of their own size and 1e-3 of sum |plan_bar * plan|: below
+    # that, the differences' rounding (up to about 2e-10 of that sum here)
+    # swamps the gradient. With one sample column the BADMM row projection
+    # fixes the plan, and the exact gradient is 0.
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(SOLVER_CONFIGS),
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.integers(1, 8),
+        st.lists(st.integers(1, 3), max_size=1),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_pullback_matches_central_differences(self, config, k, d, n, batch, seed):
+        kind, reg = config
+        rng = np.random.default_rng(seed)
+        weights = np.exp(rng.uniform(np.log(0.05), np.log(5.0), (4, k)))
+        p0, q0 = rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(n))
+        x = rng.uniform(-3.0, 3.0, tuple(batch) + (d, n))
+        plan_bar = rng.standard_normal(x.shape)
+
+        def objective(w):
+            return float((plan_bar * solve(x, UotParams(k, *w, p0, q0, reg), kind)[0]).sum())
+
+        plan, pullback = solve_vjp(x, UotParams(k, *weights, p0, q0, reg), kind)
+        np.testing.assert_array_equal(plan, solve(x, UotParams(k, *weights, p0, q0, reg), kind)[0])
+        grad = pullback(plan_bar)
+        fd = np.zeros_like(weights)
+        for i, j in np.ndindex(weights.shape):
+            h = np.zeros_like(weights)
+            h[i, j] = 1e-4 * weights[i, j]
+            fd[i, j] = (8.0 * (objective(weights + h) - objective(weights - h))
+                        - (objective(weights + 2 * h) - objective(weights - 2 * h))) / (12 * h[i, j])
+        assert grad.shape == (4, k)
+        scale = max(np.abs(fd).max(), 1e-3 * np.abs(plan_bar * plan).sum())
+        assert np.abs(grad - fd).max() <= 1e-6 * scale
+        if kind is SolverKind.SINKHORN:
+            np.testing.assert_array_equal(grad[3], 0.0)
+        else:
+            np.testing.assert_array_equal(grad[1:3], 0.0)
+
+    def test_checks_input_like_solve(self):
+        params = UotParams.uniform(3, 4)
+        with pytest.raises(TypeError, match="SolverKind"):
+            solve_vjp(np.zeros((3, 4)), params, "sinkhorn")
+        with pytest.raises(ValueError, match="prior dimensions"):
+            solve_vjp(np.zeros((4, 3)), params, SolverKind.BADMM)
+        with pytest.raises(ValueError, match="entropic"):
+            solve_vjp(np.zeros((3, 4)), UotParams.uniform(3, 4, reg=Regularizer.QUADRATIC),
+                      SolverKind.SINKHORN)
+
+    @pytest.mark.parametrize("kind", list(SolverKind))
+    def test_pullback_rejects_mismatched_cotangent(self, kind):
+        _, pullback = solve_vjp(np.zeros((2, 3, 4)), UotParams.uniform(3, 4), kind)
+        with pytest.raises(ValueError, match="plan_bar"):
+            pullback(np.zeros((3, 4)))
