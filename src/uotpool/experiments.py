@@ -162,6 +162,7 @@ def _write_outputs(config: ExperimentConfig, command: str, seed: int,
     manifest = {
         "command": command,
         "version": __version__,
+        "cpu_count": os.cpu_count(),
         "files": sorted(tables),
         "config": echo,
     }

@@ -31,6 +31,9 @@ updates, and the step functions are the reference it is tested against.
 
 from __future__ import annotations
 
+import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable
@@ -353,6 +356,11 @@ def badmm_dual_update(state: BadmmState, alpha0_k: float, rho_k: float) -> Badmm
     return replace(state, z_mat=z_mat, z1=z1, z2=z2)
 
 
+def _kl(v: np.ndarray, prior: np.ndarray) -> np.ndarray:
+    """Generalized KL divergence of the vector(s) ``v`` from ``prior``."""
+    return rel_entr(v, prior).sum(axis=-1) - v.sum(axis=-1) + prior.sum()
+
+
 def _objective_core(
     x: np.ndarray,
     p: np.ndarray,
@@ -370,10 +378,7 @@ def _objective_core(
             r = xlogy(p, p).sum(axis=(-2, -1)) - p.sum(axis=(-2, -1))
         else:
             r = (p * p).sum(axis=(-2, -1))
-        row = p.sum(axis=-1)
-        col = p.sum(axis=-2)
-        kl_row = rel_entr(row, p0).sum(axis=-1) - row.sum(axis=-1) + p0.sum()
-        kl_col = rel_entr(col, q0).sum(axis=-1) - col.sum(axis=-1) + q0.sum()
+        kl_row, kl_col = _kl(p.sum(axis=-1), p0), _kl(p.sum(axis=-2), q0)
         return cost + alpha0 * r + alpha1 * kl_row + alpha2 * kl_col
 
 
@@ -389,9 +394,11 @@ def uot_objective(
 ) -> float:
     """Evaluate the transport objective at a given plan.
 
-    Validating wrapper around the same evaluator the solvers use for their
-    traces: rejects non-finite inputs, negative plan entries and priors
-    with zero mass anywhere.
+    Rejects non-finite inputs, negative plan entries and priors with zero
+    mass anywhere. This direct evaluation is the reference the solvers'
+    objective traces are tested against; the solve loop builds its trace
+    from sums it already has and falls back to this evaluation only for
+    items whose trace entry is not finite.
     """
     x = np.asarray(x, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
@@ -417,7 +424,8 @@ def _sinkhorn_plans(
     log_q0: np.ndarray,
     tape: list | None = None,
 ):
-    """Yield the plan after each module of :func:`sinkhorn_step`'s updates.
+    """Yield the plan after each module of :func:`sinkhorn_step`'s updates,
+    with the duals ``(a, b)`` it was built from.
 
     With the scaled cost ``C = x / alpha0 + log p0 (+) log q0``, the identity
     ``lse_rows(C + a + b) = a + lse_rows(C + b)`` makes each module two
@@ -442,7 +450,7 @@ def _sinkhorn_plans(
         b = a2 / (a0 + a2) * u_col
         c += a[..., :, None]
         c += b[..., None, :]
-        yield np.exp(c, out=c)
+        yield np.exp(c, out=c), (a, b)
 
 
 def _badmm_plans(
@@ -452,7 +460,8 @@ def _badmm_plans(
     log_q0: np.ndarray,
     tape: list | None = None,
 ):
-    """Yield the plan after each module of the three BADMM updates.
+    """Yield the plan after each module of the three BADMM updates, with
+    the log plan it is the ``exp`` of.
 
     The relaxed marginals stay at the priors and their duals at rounding
     level, so the projections use ``log p0`` and ``log q0`` directly and only
@@ -475,9 +484,9 @@ def _badmm_plans(
         log_p += (log_p0 - logsumexp_rows(log_p))[..., :, None]
         log_s = (z - s) / rho + log_p if quadratic else (rho * log_p + z) / (a0 + rho)
         log_s += (log_q0 - logsumexp_cols(log_s))[..., None, :]
-        p = np.exp(log_p, out=log_p)
+        p = np.exp(log_p)
         z += a0 * (p - np.exp(log_s))
-        yield p
+        yield p, log_p
 
 
 def _sinkhorn_pullback(x, params, log_p0, log_q0, tape, plan_bar) -> np.ndarray:
@@ -563,10 +572,60 @@ def _badmm_pullback(x, params, log_p0, log_q0, tape, plan_bar) -> np.ndarray:
     return grad
 
 
+def _sinkhorn_energy(x, plan, duals, row, col, a0, log_p0, log_q0, reg) -> np.ndarray:
+    """``<-x, P> + a0 (<P, log P> - m)`` from the duals and the plan's sums.
+
+    ``log P = x / a0 + (log p0 + a) (+) (log q0 + b)``, so the ``x`` terms
+    cancel and ``a0 (<r, log p0 + a> + <c, log q0 + b> - m)`` remains, with
+    row sums ``r``, column sums ``c`` and mass ``m``.
+    """
+    a, b = duals
+    return a0 * (((log_p0 + a) * row).sum(axis=-1) + ((log_q0 + b) * col).sum(axis=-1)
+                 - row.sum(axis=-1))
+
+
+def _badmm_energy(x, plan, log_p, row, col, a0, log_p0, log_q0, reg) -> np.ndarray:
+    """``<-x, P> + a0 R(P)`` in one pass over the plan, reading ``log P``
+    from before its ``exp``."""
+    if reg is Regularizer.QUADRATIC:
+        return (plan * (a0 * plan - x)).sum(axis=(-2, -1))
+    return (plan * (a0 * log_p - x)).sum(axis=(-2, -1)) - a0 * row.sum(axis=-1)
+
+
 _SCHEMES = {
-    SolverKind.SINKHORN: (_sinkhorn_plans, _sinkhorn_pullback),
-    SolverKind.BADMM: (_badmm_plans, _badmm_pullback),
+    SolverKind.SINKHORN: (_sinkhorn_plans, _sinkhorn_energy, _sinkhorn_pullback),
+    SolverKind.BADMM: (_badmm_plans, _badmm_energy, _badmm_pullback),
 }
+
+
+# Bytes of one full-size array per chunk of batch items: small enough that a
+# chunk's temporaries stay in cache (5 items at 100 x 500), large enough
+# that small batches run as one chunk.
+_CHUNK_BYTES = 2 << 20
+
+
+def _solve_chunk(x: np.ndarray, params: UotParams, kind: SolverKind):
+    """Final plan and objective trace of one chunk of batch items.
+
+    The trace adds the KL terms of the plan's row and column sums to the
+    scheme's energy. An item whose entry is not finite is evaluated again
+    directly, so an entry is non-finite exactly where the direct evaluation
+    of :func:`uot_objective` is.
+    """
+    modules, energy, _ = _SCHEMES[kind]
+    log_p0, log_q0 = np.log(params.p0), np.log(params.q0)
+    trace = np.empty((params.k_iters,) + x.shape[:-2])
+    for k, (plan, state) in enumerate(modules(x, params, log_p0, log_q0)):
+        a0, a1, a2 = (float(w[k]) for w in (params.alpha0, params.alpha1, params.alpha2))
+        row, col = plan.sum(axis=-1), plan.sum(axis=-2)
+        t = trace[k, ...]
+        t[...] = (energy(x, plan, state, row, col, a0, log_p0, log_q0, params.reg)
+                  + a1 * _kl(row, params.p0) + a2 * _kl(col, params.q0))
+        bad = ~np.isfinite(t)
+        if bad.any():
+            t[bad] = _objective_core(x[bad], plan[bad], a0, a1, a2, params.p0, params.q0,
+                                     params.reg)
+    return plan, trace
 
 
 def _solve_core(
@@ -577,16 +636,33 @@ def _solve_core(
     """Run all modules on a (possibly batched) input.
 
     Returns the final plan with shape matching ``x`` and the objective
-    trace with shape ``(k_iters,) + batch_shape``.
+    trace with shape ``(k_iters,) + batch_shape``. A batch larger than
+    ``_CHUNK_BYTES`` per full-size array runs as chunks of items on up to
+    ``os.cpu_count()`` threads, each writing its own slice of the result; a
+    single matrix or a smaller batch runs on the calling thread. Items never
+    share arithmetic, so the result does not depend on the thread count.
     """
     x = np.asarray(x, dtype=np.float64)
-    modules = _SCHEMES[kind][0]
-    trace = []
-    with np.errstate(all="ignore"):
-        for k, plan in enumerate(modules(x, params, np.log(params.p0), np.log(params.q0))):
-            weights = (float(w[k]) for w in (params.alpha0, params.alpha1, params.alpha2))
-            trace.append(_objective_core(x, plan, *weights, params.p0, params.q0, params.reg))
-    return plan, np.stack(trace, axis=0)
+    batch, (d, n) = x.shape[:-2], x.shape[-2:]
+    items = math.prod(batch)
+    per_chunk = max(1, _CHUNK_BYTES // (x.itemsize * d * n))
+    if items <= per_chunk:
+        with np.errstate(all="ignore"):
+            return _solve_chunk(x, params, kind)
+    flat = x.reshape((items, d, n))
+    plan = np.empty(flat.shape)
+    trace = np.empty((params.k_iters, items))
+
+    def run(start: int) -> None:
+        chunk = slice(start, start + per_chunk)
+        with np.errstate(all="ignore"):  # each thread starts at numpy's default state
+            plan[chunk], trace[:, chunk] = _solve_chunk(flat[chunk], params, kind)
+
+    starts = range(0, items, per_chunk)
+    with ThreadPoolExecutor(min(os.cpu_count() or 1, len(starts))) as pool:
+        for _ in pool.map(run, starts):  # reading each result re-raises a worker's error
+            pass
+    return plan.reshape(x.shape), trace.reshape((params.k_iters,) + batch)
 
 
 def _diagnostics(plan: np.ndarray, trace: np.ndarray, params: UotParams) -> SolverDiagnostics:
@@ -594,7 +670,7 @@ def _diagnostics(plan: np.ndarray, trace: np.ndarray, params: UotParams) -> Solv
     with np.errstate(invalid="ignore"):
         return SolverDiagnostics(
             has_nan=not finite,
-            total_mass=float(np.abs(plan).sum()),
+            total_mass=float(plan.sum()),  # plan entries are exp values: never negative
             objective_trace=trace,
             marginal_gap_row=float(np.abs(plan.sum(axis=-1) - params.p0).sum()),
             marginal_gap_col=float(np.abs(plan.sum(axis=-2) - params.q0).sum()),
@@ -613,7 +689,10 @@ def solve(
     diagnostics. For a batch, ``objective_trace`` has shape
     ``(k_iters,) + batch_shape`` and the other fields are totals over the
     items: ``has_nan`` is set if any item is non-finite, and ``total_mass``
-    and the marginal gaps are sums. Numerical failure never raises.
+    and the marginal gaps are sums. Numerical failure never raises. A
+    batch over the chunk budget (about 2 MiB per full-size array) runs in
+    chunks of items on up to ``os.cpu_count()`` threads; a single matrix
+    runs on the calling thread. Results do not depend on the thread count.
     """
     plan, trace = _solve_core(_checked_input(x, params, kind), params, kind)
     return plan, _diagnostics(plan, trace, params)
@@ -636,11 +715,11 @@ def solve_vjp(
     ``x``, which must not change in between. Non-finite values propagate.
     """
     x = _checked_input(x, params, kind)
-    modules, pullback = _SCHEMES[kind]
+    modules, _, pullback = _SCHEMES[kind]
     log_p0, log_q0 = np.log(params.p0), np.log(params.q0)
     tape: list = []
     with np.errstate(all="ignore"):
-        for plan in modules(x, params, log_p0, log_q0, tape):
+        for plan, _ in modules(x, params, log_p0, log_q0, tape):
             pass
 
     def vjp(plan_bar: np.ndarray) -> np.ndarray:

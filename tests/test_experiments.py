@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import re
 import stat
 
@@ -208,6 +209,14 @@ class TestBench:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert "notes" in manifest
         assert "baselines" in manifest["notes"]
+
+    def test_manifest_records_cpu_count(self, tmp_path):
+        # The timings depend on it: a large batch runs on up to that many threads.
+        config = ExperimentConfig(out=str(tmp_path), batch_dims=(6, 7),
+                                  batch_size=2, bench_k=(1,), trials=1, warmup=0)
+        cmd_bench(config)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["cpu_count"] == os.cpu_count()
 
 
 class TestTrain:

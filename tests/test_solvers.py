@@ -1,4 +1,8 @@
 import math
+import os
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from uotpool import (
     solve_vjp,
     uot_objective,
 )
+from uotpool import solvers
 from uotpool.pooling import attention_config
 
 SOLVER_CONFIGS = [
@@ -530,14 +535,17 @@ class TestSolveCoreMatchesSteps:
         st.integers(1, 11),
         st.lists(st.integers(1, 3), max_size=2),
         st.integers(0, 2**32 - 1),
+        st.sampled_from(["whole", "item"]) | st.integers(1, 4096),
     )
-    def test_plans_and_traces_match(self, config, k, d, n, batch, seed):
+    def test_plans_and_traces_match(self, config, k, d, n, batch, seed, chunk_bytes):
         kind, reg = config
         rng = np.random.default_rng(seed)
         weights = np.exp(rng.uniform(np.log(0.05), np.log(5.0), (4, k)))
         params = UotParams(k, *weights, rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(n)), reg)
         x = rng.uniform(-3.0, 3.0, tuple(batch) + (d, n))
-        plan, diag = solve(x, params, kind)
+        chunk_bytes = {"whole": 2**62, "item": x.itemsize * d * n}.get(chunk_bytes, chunk_bytes)
+        with mock.patch.object(solvers, "_CHUNK_BYTES", chunk_bytes):
+            plan, diag = solve(x, params, kind)
         ref_plan, ref_trace = chained_solve(x, params, kind)
         np.testing.assert_allclose(plan, ref_plan, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(diag.objective_trace, ref_trace, rtol=1e-12, atol=1e-12)
@@ -556,6 +564,67 @@ class TestSolveCoreMatchesSteps:
                 ref_plan, ref_trace = chained_solve(x, params, kind)
                 np.testing.assert_array_equal(np.isfinite(plan), np.isfinite(ref_plan))
                 assert diag.has_nan == (not np.isfinite(ref_trace).all())
+
+    @pytest.mark.parametrize("kind,reg", SOLVER_CONFIGS)
+    def test_trace_finite_where_log_plan_is_minus_infinity(self, kind, reg):
+        # x / alpha0 and x / rho overflow to -inf at one entry, so its log
+        # plan is -inf and its plan entry 0; the trace must stay the finite
+        # value of the direct evaluation, not 0 * -inf.
+        x = random_input(3)
+        x[1, 2] = -1e308
+        params = UotParams.uniform(5, 10, k_iters=3, alpha0=0.5, rho=0.5, reg=reg)
+        plan, diag = solve(x, params, kind)
+        ref_plan, ref_trace = chained_solve(x, params, kind)
+        assert plan[1, 2] == 0.0
+        assert not diag.has_nan
+        np.testing.assert_allclose(diag.objective_trace, ref_trace, rtol=1e-12, atol=1e-12)
+
+
+class TestChunkedSolve:
+    """Batches split into chunks of items on a thread pool."""
+
+    @pytest.mark.parametrize("kind,reg", SOLVER_CONFIGS)
+    def test_results_do_not_depend_on_thread_count(self, kind, reg):
+        rng = np.random.default_rng(21)
+        weights = np.exp(rng.uniform(np.log(0.05), np.log(5.0), (4, 3)))
+        params = UotParams(3, *weights, rng.dirichlet(np.ones(6)), rng.dirichlet(np.ones(7)), reg)
+        # Two batch axes of 12 items in all, each item every second row of a
+        # larger array; chunks of 5 items make 3 chunks.
+        x = rng.uniform(-3.0, 3.0, (3, 4, 12, 7))[..., ::2, :]
+        whole_plan, whole_diag = solve(x, params, kind)
+        with mock.patch.object(solvers, "_CHUNK_BYTES", 5 * x.itemsize * 6 * 7):
+            for cpus in (1, 4):
+                with mock.patch.object(os, "cpu_count", return_value=cpus), \
+                        mock.patch.object(solvers, "ThreadPoolExecutor",
+                                          wraps=ThreadPoolExecutor) as pool:
+                    plan, diag = solve(x, params, kind)
+                assert pool.call_args.args == (min(cpus, 3),)
+                np.testing.assert_array_equal(plan, whole_plan)
+                np.testing.assert_array_equal(diag.objective_trace, whole_diag.objective_trace)
+            plan, diag = solve(np.zeros((0, 6, 7)), params, kind)
+        assert plan.shape == (0, 6, 7)
+        assert diag.objective_trace.shape == (3, 0)
+
+    def test_overflow_in_worker_threads_stays_silent(self):
+        # The Sinkhorn cells of the ``uotpool stability`` grid that overflow,
+        # each solved as a batch of one-item chunks with warnings as errors.
+        xs = np.stack([random_input(0), np.zeros((5, 10)), random_input(1), random_input(2)])
+        decades = [10.0 ** e for e in range(-5, 5)]
+        overflowing = 0
+        for a0 in decades:
+            for a12 in decades:
+                params = UotParams.uniform(5, 10, k_iters=4, alpha0=a0, alpha1=a12, alpha2=a12)
+                singles = [solve(x, params, SolverKind.SINKHORN) for x in xs]
+                if not singles[0][1].has_nan:
+                    continue
+                overflowing += 1
+                with warnings.catch_warnings(), mock.patch.object(solvers, "_CHUNK_BYTES", 1):
+                    warnings.simplefilter("error")
+                    plan, diag = solve(xs, params, SolverKind.SINKHORN)
+                assert diag.has_nan == any(d.has_nan for _, d in singles)
+                for i, (plan_i, _) in enumerate(singles):
+                    np.testing.assert_array_equal(plan[i], plan_i)
+        assert overflowing >= 1
 
 
 class TestSolveVjp:
