@@ -1,41 +1,30 @@
 """Unconstrained reparametrization of the solver weights, a finite-difference
-gradient oracle, and a small synthetic-task trainer.
+gradient over it, and a small synthetic-task trainer.
 
-Solver weights must stay strictly positive and priors must stay on the
-simplex, so learnable parameters live in an unconstrained space:
-``alpha_i = softplus(beta_i)``, ``rho = softplus(tau)``, and priors are
-either fixed or produced by softmax attention scorers. The trainer
-back-propagates through the unrolled solver: every module is a smooth map,
-and :func:`solve_vjp` differentiates the modules in reverse. Central
-differences (:func:`fd_gradient`) remain as the oracle the gradient is
-checked against.
+Solver weights must stay strictly positive, so learnable weights live in
+an unconstrained space: ``alpha_i = softplus(beta_i)`` and
+``rho = softplus(tau)``. The trainer back-propagates through the unrolled
+solver: every module is a smooth map, and :func:`solve_vjp` differentiates
+the modules in reverse. :func:`fd_gradient` is a central-difference
+gradient over the same ``beta0 | beta1 | beta2 | tau`` layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Union
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.special import expit
 
-from .numerics import softmax, softplus, softplus_inverse
-from .pooling import (
-    AttentionParams,
-    UotBadmmPooling,
-    UotSinkhornPooling,
-    attention_weights,
-    pool_with_plan,
-)
+from .numerics import softplus, softplus_inverse
+from .pooling import UotBadmmPooling, UotSinkhornPooling, pool_with_plan
 from .solvers import Regularizer, UotParams, solve_vjp
 
 __all__ = [
-    "FixedUniform",
-    "LearnedAttention",
     "MaxThreshold",
     "MeanThreshold",
     "NonFiniteLossError",
-    "PriorMode",
     "ReparamState",
     "SyntheticTask",
     "fd_gradient",
@@ -46,35 +35,17 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class FixedUniform:
-    """Priors fixed to uniform distributions; the input matrix is ignored."""
-
-
-@dataclass(frozen=True)
-class LearnedAttention:
-    """Priors produced by attention scorers over the input matrix."""
-
-    params: AttentionParams
-
-
-PriorMode = Union[FixedUniform, LearnedAttention]
-
-
-@dataclass(frozen=True)
 class ReparamState:
-    """Unconstrained solver parameters: four length-K vectors plus a prior mode.
+    """Unconstrained solver weights: four length-K vectors.
 
     The flat-vector layout used by :meth:`to_vector`, :meth:`from_vector`
-    and :func:`fd_gradient` is ``beta0 | beta1 | beta2 | tau`` followed, in
-    attention mode, by ``v_mat`` (row-major), ``w_vec`` and ``u_mat``
-    (row-major, only if present).
+    and :func:`fd_gradient` is ``beta0 | beta1 | beta2 | tau``.
     """
 
     beta0: np.ndarray
     beta1: np.ndarray
     beta2: np.ndarray
     tau: np.ndarray
-    prior_mode: PriorMode = FixedUniform()
 
     def __post_init__(self):
         k = np.asarray(self.beta0, dtype=np.float64).shape
@@ -89,39 +60,15 @@ class ReparamState:
         return self.beta0.shape[0]
 
     def to_vector(self) -> np.ndarray:
-        parts = [self.beta0, self.beta1, self.beta2, self.tau]
-        if isinstance(self.prior_mode, LearnedAttention):
-            att = self.prior_mode.params
-            parts.append(np.asarray(att.v_mat, dtype=np.float64).ravel())
-            parts.append(np.asarray(att.w_vec, dtype=np.float64))
-            if att.u_mat is not None:
-                parts.append(np.asarray(att.u_mat, dtype=np.float64).ravel())
-        return np.concatenate(parts)
+        return np.concatenate([self.beta0, self.beta1, self.beta2, self.tau])
 
     def from_vector(self, vec: np.ndarray) -> "ReparamState":
-        """Rebuild a state with this one's shapes from a flat vector."""
+        """Rebuild a state with this one's length from a flat vector."""
         vec = np.asarray(vec, dtype=np.float64)
-        k = self.k_iters
-        expected = 4 * k
-        if isinstance(self.prior_mode, LearnedAttention):
-            att = self.prior_mode.params
-            d = np.asarray(att.w_vec).shape[0]
-            expected += d * d + d + (d * d if att.u_mat is not None else 0)
+        expected = 4 * self.k_iters
         if vec.shape != (expected,):
             raise ValueError(f"expected a flat vector of length {expected}, got shape {vec.shape}")
-        b0, b1, b2, t = (vec[i * k:(i + 1) * k] for i in range(4))
-        mode: PriorMode = self.prior_mode
-        if isinstance(self.prior_mode, LearnedAttention):
-            att = self.prior_mode.params
-            d = np.asarray(att.w_vec).shape[0]
-            rest = vec[4 * k:]
-            v_mat = rest[: d * d].reshape(d, d)
-            w_vec = rest[d * d: d * d + d]
-            u_mat = None
-            if att.u_mat is not None:
-                u_mat = rest[d * d + d:].reshape(d, d)
-            mode = LearnedAttention(AttentionParams(v_mat=v_mat, w_vec=w_vec, u_mat=u_mat))
-        return ReparamState(beta0=b0, beta1=b1, beta2=b2, tau=t, prior_mode=mode)
+        return ReparamState(*vec.reshape(4, self.k_iters))
 
 
 def materialize_params(
@@ -129,57 +76,20 @@ def materialize_params(
     x: np.ndarray,
     reg: Regularizer = Regularizer.ENTROPIC,
 ) -> UotParams:
-    """Turn an unconstrained state into strictly positive solver parameters.
-
-    Weights go through softplus; priors are uniform in fixed mode, or
-    softmax outputs of the attention scorers (``u_mat`` for the feature
-    prior when present, the tanh scorer for the sample prior).
-    """
+    """Turn an unconstrained state into strictly positive solver weights,
+    with uniform priors over the rows and columns of ``x``."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"input must be a 2-D matrix, got {x.ndim} dimensions")
-    d, n = x.shape
-    if isinstance(state.prior_mode, LearnedAttention):
-        att = state.prior_mode.params
-        q0 = attention_weights(x, att)
-        if att.u_mat is not None:
-            u = np.asarray(att.u_mat, dtype=np.float64)
-            if u.shape != (d, d):
-                raise ValueError(f"u_mat must be ({d}, {d}) for a {d}-row input, got {u.shape}")
-            p0 = softmax(u @ x.sum(axis=-1))
-        else:
-            p0 = np.full(d, 1.0 / d)
-    else:
-        p0 = np.full(d, 1.0 / d)
-        q0 = np.full(n, 1.0 / n)
-    return UotParams(
+    return UotParams.uniform(
+        *x.shape,
         k_iters=state.k_iters,
         alpha0=softplus(state.beta0),
         alpha1=softplus(state.beta1),
         alpha2=softplus(state.beta2),
         rho=softplus(state.tau),
-        p0=p0,
-        q0=q0,
         reg=reg,
     )
-
-
-def _central_difference(f: Callable[[np.ndarray], float], x: np.ndarray, eps: float) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a flat vector.
-
-    Raises if any probe returns a non-finite value, naming the coordinate.
-    """
-    grad = np.zeros_like(x)
-    for j in range(x.size):
-        probe = x.copy()
-        probe[j] = x[j] + eps
-        f_plus = f(probe)
-        probe[j] = x[j] - eps
-        f_minus = f(probe)
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise ValueError(f"loss returned a non-finite value at a probe of coordinate {j}")
-        grad[j] = (f_plus - f_minus) / (2.0 * eps)
-    return grad
 
 
 def fd_gradient(
@@ -191,7 +101,8 @@ def fd_gradient(
 
     The entry order matches :meth:`ReparamState.to_vector`. Every probe is
     an independent loss evaluation, so the result is deterministic for a
-    pure loss.
+    pure loss. Raises if any probe returns a non-finite value, naming the
+    coordinate.
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -199,7 +110,17 @@ def fd_gradient(
     if not np.isfinite(base):
         raise ValueError("loss is non-finite at the given state")
     vec = state.to_vector()
-    return _central_difference(lambda v: float(loss(state.from_vector(v))), vec, eps)
+    grad = np.zeros_like(vec)
+    for j in range(vec.size):
+        probe = vec.copy()
+        probe[j] = vec[j] + eps
+        f_plus = float(loss(state.from_vector(probe)))
+        probe[j] = vec[j] - eps
+        f_minus = float(loss(state.from_vector(probe)))
+        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+            raise ValueError(f"loss returned a non-finite value at a probe of coordinate {j}")
+        grad[j] = (f_plus - f_minus) / (2.0 * eps)
+    return grad
 
 
 # ---- synthetic bag-classification tasks ----

@@ -88,14 +88,11 @@ class AttentionParams:
     """Weights of the attention scorer.
 
     ``v_mat`` is D x D, ``w_vec`` length D; sample weights are
-    ``softmax(w_vec . tanh(v_mat @ x))`` over columns. ``u_mat``
-    optionally parameterizes a feature prior elsewhere and is unused by
-    the scorer itself.
+    ``softmax(w_vec . tanh(v_mat @ x))`` over columns.
     """
 
     v_mat: np.ndarray
     w_vec: np.ndarray
-    u_mat: np.ndarray | None = None
 
 
 def _check_attention(x: np.ndarray, params: AttentionParams) -> tuple[np.ndarray, np.ndarray]:

@@ -11,27 +11,30 @@ regularizer <P, P>, and KL the generalized (unnormalized) divergence. Two
 fixed-depth iterative schemes are provided, each executing exactly
 ``k_iters`` modules with per-module weights:
 
-* :func:`sinkhorn_uot` -- alternating damped dual updates on a log-domain
-  kernel anchored at the prior product ``p0 q0^T`` (entropic only);
-* :func:`badmm_uot` -- a Bregman ADMM splitting with auxiliary plan ``S``
-  and relaxed marginals ``mu``, ``eta``, all updates in the log domain
-  (entropic or quadratic). The marginals are inert: each projection onto
-  them keeps them at the priors and their duals at rounding level, so the
-  weights ``a1`` and ``a2`` reach this scheme only through the objective.
+* ``SolverKind.SINKHORN`` -- alternating damped dual updates on a
+  log-domain kernel anchored at the prior product ``p0 q0^T`` (entropic
+  only);
+* ``SolverKind.BADMM`` -- a Bregman ADMM splitting with auxiliary plan
+  ``S`` and relaxed marginals ``mu``, ``eta``, all updates in the log
+  domain (entropic or quadratic). The marginals are inert: each projection
+  onto them keeps them at the priors and their duals at rounding level, so
+  the weights ``a1`` and ``a2`` reach this scheme only through the
+  objective.
 
 Solvers never raise on numerical blow-up: overflow and NaN propagate to the
 returned plan and are reported through :class:`SolverDiagnostics.has_nan`.
-:func:`solve` is the checked entry point for one (D, N) matrix or a batch
-of shape (..., D, N); :func:`sinkhorn_uot` and :func:`badmm_uot` are its
-single-matrix forms, and :func:`solve_vjp` adds reverse-mode gradients.
-The module-level step functions broadcast over leading batch axes. The
-solve loop does not call them: it runs a lean version of the same
-updates, and the step functions are the reference it is tested against.
+:func:`solve` is the one checked entry point, for one (D, N) matrix or a
+batch of shape (..., D, N), and :func:`solve_vjp` adds reverse-mode
+gradients. The module-level step functions broadcast over leading batch
+axes. The solve loop does not call them: it runs a lean version of the
+same updates, and the step functions are the reference it is tested
+against.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -54,10 +57,8 @@ __all__ = [
     "badmm_dual_update",
     "badmm_init",
     "badmm_primal_update",
-    "badmm_uot",
     "sinkhorn_init",
     "sinkhorn_step",
-    "sinkhorn_uot",
     "solve",
     "solve_vjp",
     "uot_objective",
@@ -99,9 +100,10 @@ class UotParams:
     reg: Regularizer = Regularizer.ENTROPIC
 
     def __post_init__(self):
-        k = int(self.k_iters)
-        if k < 1:
-            raise ValueError(f"k_iters must be a positive integer, got {self.k_iters}")
+        k = self.k_iters
+        if not (isinstance(k, numbers.Real) and float(k).is_integer() and k >= 1):
+            raise ValueError(f"k_iters must be a positive integer, got {k!r}")
+        k = int(k)
         object.__setattr__(self, "k_iters", k)
         for name in ("alpha0", "alpha1", "alpha2", "rho"):
             w = np.asarray(getattr(self, name), dtype=np.float64)
@@ -743,26 +745,3 @@ def _checked_input(x: np.ndarray, params: UotParams, kind: SolverKind) -> np.nda
         raise ValueError(f"input shape {x.shape} does not match prior dimensions ({d}, {n})")
     return x
 
-
-def _require_2d(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"input must be a 2-D matrix, got {x.ndim} dimensions")
-    return x
-
-
-def sinkhorn_uot(x: np.ndarray, params: UotParams) -> tuple[np.ndarray, SolverDiagnostics]:
-    """Solve one (D, N) matrix with the damped dual-update scheme (entropic
-    regularizer only).
-
-    Returns the nonnegative plan ``exp(y)`` after the last module together
-    with diagnostics. Numerical failure never raises; inspect
-    ``diagnostics.has_nan``.
-    """
-    return solve(_require_2d(x), params, SolverKind.SINKHORN)
-
-
-def badmm_uot(x: np.ndarray, params: UotParams) -> tuple[np.ndarray, SolverDiagnostics]:
-    """Solve one (D, N) matrix with the Bregman ADMM scheme (entropic or
-    quadratic regularizer)."""
-    return solve(_require_2d(x), params, SolverKind.BADMM)

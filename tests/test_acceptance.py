@@ -29,7 +29,6 @@ from uotpool import (
     badmm_dual_update,
     badmm_init,
     badmm_primal_update,
-    badmm_uot,
     fd_gradient,
     materialize_params,
     max_config,
@@ -43,7 +42,6 @@ from uotpool import (
     solve,
     sinkhorn_init,
     sinkhorn_step,
-    sinkhorn_uot,
     train_synthetic,
     uot_pool,
 )
@@ -71,8 +69,8 @@ def test_criterion_01_mean_regime_plan(capsys):
         start = time.perf_counter()
         for seed in range(5):
             x = uniform_input(seed)
-            for solver in (sinkhorn_uot, badmm_uot):
-                plan, diag = solver(x, mean_config(5, 10))
+            for kind in (SolverKind.SINKHORN, SolverKind.BADMM):
+                plan, diag = solve(x, mean_config(5, 10), kind)
                 assert not diag.has_nan
                 assert np.abs(plan - 1.0 / 50.0).max() <= 1e-3
         assert time.perf_counter() - start < 1.0
@@ -123,7 +121,7 @@ def test_criterion_04_weight_grid_stability(capsys):
                     params = UotParams.uniform(5, 10, k_iters=4, alpha0=a0,
                                                alpha1=a12, alpha2=a12, rho=1.0,
                                                reg=reg)
-                    plan, diag = badmm_uot(x, params)
+                    plan, diag = solve(x, params, SolverKind.BADMM)
                     assert not diag.has_nan
                     assert abs(diag.total_mass - 1.0) <= 0.1
         nan_cells = 0
@@ -131,7 +129,7 @@ def test_criterion_04_weight_grid_stability(capsys):
             for a12 in decades:
                 params = UotParams.uniform(5, 10, k_iters=4, alpha0=a0,
                                            alpha1=a12, alpha2=a12, rho=1.0)
-                _, diag = sinkhorn_uot(x, params)
+                _, diag = solve(x, params, SolverKind.SINKHORN)
                 nan_cells += diag.has_nan
         assert nan_cells >= 1
         assert time.perf_counter() - start < 60.0
@@ -314,7 +312,7 @@ def test_criterion_09_training_reduces_loss(capsys):
         x = uniform_input(42, 3, 4)
 
         def solver_loss(s):
-            plan, _ = sinkhorn_uot(x, materialize_params(s, x))
+            plan, _ = solve(x, materialize_params(s, x), SolverKind.SINKHORN)
             return float(pool_with_plan(x, plan).sum())
 
         small = ReparamState(*(np.zeros(2) for _ in range(4)))

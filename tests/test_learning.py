@@ -5,9 +5,6 @@ import pytest
 
 import uotpool.learning
 from uotpool import (
-    AttentionParams,
-    FixedUniform,
-    LearnedAttention,
     MaxThreshold,
     MeanPooling,
     MeanThreshold,
@@ -23,7 +20,6 @@ from uotpool import (
     generate_task_data,
     materialize_params,
     pool_with_plan,
-    sinkhorn_uot,
     softplus,
     softplus_inverse,
     solve,
@@ -32,11 +28,8 @@ from uotpool import (
 )
 
 
-def zero_state(k=2, mode=None):
-    args = [np.zeros(k) for _ in range(4)]
-    if mode is None:
-        return ReparamState(*args)
-    return ReparamState(*args, prior_mode=mode)
+def zero_state(k=2):
+    return ReparamState(*(np.zeros(k) for _ in range(4)))
 
 
 class TestReparamState:
@@ -53,27 +46,6 @@ class TestReparamState:
         np.testing.assert_array_equal(vec, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8])
         back = state.from_vector(vec)
         np.testing.assert_array_equal(back.to_vector(), vec)
-
-    def test_vector_round_trip_attention(self):
-        att = AttentionParams(v_mat=np.arange(9.0).reshape(3, 3),
-                              w_vec=np.array([1.0, 2.0, 3.0]),
-                              u_mat=np.arange(9.0, 18.0).reshape(3, 3))
-        state = zero_state(2, LearnedAttention(att))
-        vec = state.to_vector()
-        assert vec.shape == (8 + 9 + 3 + 9,)
-        back = state.from_vector(vec + 1.0)
-        assert isinstance(back.prior_mode, LearnedAttention)
-        np.testing.assert_array_equal(back.prior_mode.params.v_mat,
-                                      att.v_mat + 1.0)
-        np.testing.assert_array_equal(back.prior_mode.params.u_mat,
-                                      att.u_mat + 1.0)
-
-    def test_attention_without_feature_scorer(self):
-        att = AttentionParams(v_mat=np.zeros((3, 3)), w_vec=np.zeros(3))
-        state = zero_state(2, LearnedAttention(att))
-        assert state.to_vector().shape == (8 + 9 + 3,)
-        back = state.from_vector(state.to_vector())
-        assert back.prior_mode.params.u_mat is None
 
     def test_from_vector_rejects_wrong_length(self):
         with pytest.raises(ValueError):
@@ -94,25 +66,6 @@ class TestMaterializeParams:
         np.testing.assert_allclose(params.p0, 1.0 / 3.0)
         np.testing.assert_allclose(params.q0, 1.0 / 7.0)
 
-    def test_zero_attention_scorers_give_uniform_priors(self):
-        x = np.random.default_rng(1).uniform(0.0, 1.0, (3, 5))
-        att = AttentionParams(v_mat=np.zeros((3, 3)), w_vec=np.zeros(3),
-                              u_mat=np.zeros((3, 3)))
-        params = materialize_params(zero_state(2, LearnedAttention(att)), x)
-        np.testing.assert_allclose(params.p0, 1.0 / 3.0, atol=1e-15)
-        np.testing.assert_allclose(params.q0, 1.0 / 5.0, atol=1e-15)
-
-    def test_attention_priors_are_simplex_vectors(self):
-        rng = np.random.default_rng(2)
-        x = rng.uniform(0.0, 1.0, (3, 5))
-        att = AttentionParams(v_mat=rng.standard_normal((3, 3)),
-                              w_vec=rng.standard_normal(3),
-                              u_mat=rng.standard_normal((3, 3)))
-        params = materialize_params(zero_state(2, LearnedAttention(att)), x)
-        assert params.p0.sum() == pytest.approx(1.0, abs=1e-12)
-        assert params.q0.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(params.p0 > 0) and np.all(params.q0 > 0)
-
     def test_reg_is_forwarded(self):
         x = np.zeros((2, 2))
         params = materialize_params(zero_state(1), x, reg=Regularizer.QUADRATIC)
@@ -121,12 +74,6 @@ class TestMaterializeParams:
     def test_rejects_non_matrix_input(self):
         with pytest.raises(ValueError):
             materialize_params(zero_state(1), np.zeros(4))
-
-    def test_rejects_mismatched_scorer_dims(self):
-        x = np.zeros((3, 4))
-        att = AttentionParams(v_mat=np.zeros((2, 2)), w_vec=np.zeros(2))
-        with pytest.raises(ValueError):
-            materialize_params(zero_state(1, LearnedAttention(att)), x)
 
 
 class TestFdGradient:
@@ -159,7 +106,7 @@ class TestFdGradient:
 
         def loss(s):
             params = materialize_params(s, x)
-            plan, _ = sinkhorn_uot(x, params)
+            plan, _ = solve(x, params, SolverKind.SINKHORN)
             return float((pool_with_plan(x, plan) ** 2).sum())
 
         state = zero_state(2)
@@ -172,7 +119,7 @@ class TestFdGradient:
 
         def loss(s):
             params = materialize_params(s, x)
-            plan, _ = sinkhorn_uot(x, params)
+            plan, _ = solve(x, params, SolverKind.SINKHORN)
             return float(pool_with_plan(x, plan).sum())
 
         state = zero_state(2)
@@ -356,20 +303,12 @@ class TestTrainSynthetic:
 
 
 class TestPermutationInvarianceAtInit:
-    @pytest.mark.parametrize("mode_name", ["fixed", "attention"])
+    @pytest.mark.parametrize("mode_name", ["fixed"])
     def test_pooled_output_invariant(self, mode_name):
         rng = np.random.default_rng(5)
         x = rng.uniform(0.0, 1.0, (3, 6))
         perm = rng.permutation(6)
-        if mode_name == "fixed":
-            mode = FixedUniform()
-        else:
-            mode = LearnedAttention(AttentionParams(
-                v_mat=rng.standard_normal((3, 3)) * 0.3,
-                w_vec=rng.standard_normal(3) * 0.3,
-                u_mat=rng.standard_normal((3, 3)) * 0.3,
-            ))
-        state = zero_state(2, mode)
+        state = zero_state(2)
         pooled, _ = uot_pool(x, materialize_params(state, x), SolverKind.SINKHORN)
         pooled_perm, _ = uot_pool(x[:, perm], materialize_params(state, x[:, perm]),
                                   SolverKind.SINKHORN)

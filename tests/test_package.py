@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import uotpool
@@ -30,3 +31,10 @@ def test_no_private_imports_across_modules():
             offenders += [f"{path.name}:{node.lineno} imports {alias.name}"
                           for alias in node.names if _is_private(alias.name)]
     assert offenders == []
+
+
+def test_readme_example_runs():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(readme), "exec"), {})

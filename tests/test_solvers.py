@@ -17,14 +17,12 @@ from uotpool import (
     badmm_dual_update,
     badmm_init,
     badmm_primal_update,
-    badmm_uot,
     max_config,
     max_pool,
     mean_config,
     pool_with_plan,
     sinkhorn_init,
     sinkhorn_step,
-    sinkhorn_uot,
     solve,
     solve_vjp,
     uot_objective,
@@ -37,6 +35,11 @@ SOLVER_CONFIGS = [
     (SolverKind.BADMM, Regularizer.ENTROPIC),
     (SolverKind.BADMM, Regularizer.QUADRATIC),
 ]
+
+
+def kind_id(value):
+    """Test id of a solver kind, ``<kind>_uot``; other values keep pytest's id."""
+    return f"{value.value}_uot" if isinstance(value, SolverKind) else None
 
 
 def random_input(seed, d=5, n=10):
@@ -105,6 +108,16 @@ class TestUotParams:
     def test_rejects_bad_weights(self, kwargs):
         with pytest.raises(ValueError):
             UotParams.uniform(3, 4, k_iters=kwargs.pop("k_iters", 4), **kwargs)
+
+    def test_k_iters_must_be_integral(self):
+        # int() used to truncate these to 2 and 3 modules, and to parse "3".
+        for k in (2.7, np.float64(3.9), "3"):
+            with pytest.raises(ValueError, match="k_iters"):
+                UotParams.uniform(3, 4, k_iters=k)
+        for k in (4, np.int64(4)):
+            p = UotParams.uniform(3, 4, k_iters=k)
+            assert p.k_iters == 4 and type(p.k_iters) is int
+            assert p.alpha0.shape == (4,)
 
     @pytest.mark.parametrize("p0,q0", [
         ([0.0, 0.5, 0.5], [0.25, 0.25, 0.25, 0.25]),
@@ -305,71 +318,71 @@ class TestBadmmSteps:
 
     def test_zero_cost_keeps_prior_product(self):
         params = UotParams.uniform(4, 6, k_iters=8)
-        plan, diag = badmm_uot(np.zeros((4, 6)), params)
+        plan, diag = solve(np.zeros((4, 6)), params, SolverKind.BADMM)
         np.testing.assert_allclose(plan, np.outer(params.p0, params.q0), atol=1e-12)
         assert not diag.has_nan
         np.testing.assert_allclose(np.diff(diag.objective_trace), 0.0, atol=1e-12)
 
 
 class TestSolverRegimes:
-    @pytest.mark.parametrize("solver", [sinkhorn_uot, badmm_uot])
-    def test_large_weights_recover_uniform_plan(self, solver):
+    @pytest.mark.parametrize("kind", list(SolverKind), ids=kind_id)
+    def test_large_weights_recover_uniform_plan(self, kind):
         x = random_input(0)
-        plan, diag = solver(x, mean_config(5, 10))
+        plan, diag = solve(x, mean_config(5, 10), kind)
         assert np.abs(plan - 1.0 / 50.0).max() < 1e-4
         assert not diag.has_nan
 
     def test_max_regime_concentrates_rows(self):
         x = random_input(2)
-        plan, _ = sinkhorn_uot(x, max_config(5, 10))
+        plan, _ = solve(x, max_config(5, 10), SolverKind.SINKHORN)
         pooled = pool_with_plan(x, plan)
         target = max_pool(x)
         assert np.abs(pooled - target).max() / np.abs(target).max() < 0.02
 
     def test_max_regime_badmm_within_looser_band(self):
         x = random_input(2)
-        plan, _ = badmm_uot(x, max_config(5, 10))
+        plan, _ = solve(x, max_config(5, 10), SolverKind.BADMM)
         pooled = pool_with_plan(x, plan)
         target = max_pool(x)
         assert np.abs(pooled - target).max() / np.abs(target).max() < 0.10
 
-    @pytest.mark.parametrize("solver", [sinkhorn_uot, badmm_uot])
-    def test_attention_regime_recovers_rank_one_plan(self, solver):
+    @pytest.mark.parametrize("kind", list(SolverKind), ids=kind_id)
+    def test_attention_regime_recovers_rank_one_plan(self, kind):
         rng = np.random.default_rng(9)
         x = rng.uniform(0.0, 1.0, (5, 10))
         raw = rng.uniform(0.1, 1.0, 10)
         q0 = raw / raw.sum()
-        plan, _ = solver(x, attention_config(5, q0))
+        plan, _ = solve(x, attention_config(5, q0), kind)
         target = np.outer(np.full(5, 0.2), q0)
         assert np.abs(plan - target).max() < 1e-3
 
 
 class TestSolverInvariants:
-    @pytest.mark.parametrize("solver", [sinkhorn_uot, badmm_uot])
-    def test_bitwise_deterministic(self, solver):
+    @pytest.mark.parametrize("kind", list(SolverKind), ids=kind_id)
+    def test_bitwise_deterministic(self, kind):
         x = random_input(3)
         params = UotParams.uniform(5, 10, alpha0=0.1)
-        p1, d1 = solver(x, params)
-        p2, d2 = solver(x, params)
+        p1, d1 = solve(x, params, kind)
+        p2, d2 = solve(x, params, kind)
         np.testing.assert_array_equal(p1, p2)
         np.testing.assert_array_equal(d1.objective_trace, d2.objective_trace)
 
-    @pytest.mark.parametrize("solver", [sinkhorn_uot, badmm_uot])
-    def test_column_permutation_equivariance(self, solver):
+    @pytest.mark.parametrize("kind", list(SolverKind), ids=kind_id)
+    def test_column_permutation_equivariance(self, kind):
         x = random_input(4)
         perm = np.random.default_rng(40).permutation(10)
         params = UotParams.uniform(5, 10, alpha0=0.1)
-        plan, _ = solver(x, params)
-        plan_perm, _ = solver(x[:, perm], params)
+        plan, _ = solve(x, params, kind)
+        plan_perm, _ = solve(x[:, perm], params, kind)
         assert np.abs(plan_perm - plan[:, perm]).max() < 1e-6
 
-    @pytest.mark.parametrize("solver", [sinkhorn_uot, badmm_uot])
-    def test_row_permutation_equivariance(self, solver):
+    @pytest.mark.parametrize("kind", list(SolverKind), ids=kind_id)
+    def test_row_permutation_equivariance(self, kind):
         x = random_input(5)
         perm = np.random.default_rng(41).permutation(5)
         params = UotParams.uniform(5, 10, alpha0=0.1)
-        plan, _ = solver(x, params)
-        plan_perm, _ = solver(x[perm, :], params)
+        plan, _ = solve(x, params, kind)
+        plan_perm, _ = solve(x[perm, :], params, kind)
         assert np.abs(plan_perm - plan[perm, :]).max() < 1e-6
 
     def test_sinkhorn_row_gap_tightens_with_row_weight(self):
@@ -378,7 +391,7 @@ class TestSolverInvariants:
         for a1 in (0.5, 2.0, 8.0, 32.0):
             params = UotParams.uniform(5, 10, k_iters=8, alpha0=0.1,
                                        alpha1=a1, alpha2=1.0)
-            _, diag = sinkhorn_uot(x, params)
+            _, diag = solve(x, params, SolverKind.SINKHORN)
             gaps[a1] = diag.marginal_gap_row
         assert gaps[8.0] < gaps[2.0] < gaps[0.5]
         assert gaps[32.0] < gaps[2.0]
@@ -391,7 +404,7 @@ class TestSolverInvariants:
         for a1 in (1.0, 10.0, 100.0, 1e4):
             params = UotParams.uniform(5, 10, k_iters=32, alpha0=0.1,
                                        alpha1=a1, alpha2=1.0)
-            _, diag = badmm_uot(x, params)
+            _, diag = solve(x, params, SolverKind.BADMM)
             gaps.append(diag.marginal_gap_row)
         assert all(g < 1e-12 for g in gaps)
         assert all(b <= a + 1e-6 for a, b in zip(gaps, gaps[1:]))
@@ -401,36 +414,32 @@ class TestSolverInvariants:
         # at zero, so the marginal weights cancel from every update and the
         # plan depends only on the smoothing weight and the penalty.
         x = random_input(7)
-        base, _ = badmm_uot(x, UotParams.uniform(5, 10, alpha0=0.7, rho=1.3))
-        alt, _ = badmm_uot(x, UotParams.uniform(5, 10, alpha0=0.7, alpha1=37.0,
-                                                alpha2=0.03, rho=1.3))
+        base, _ = solve(x, UotParams.uniform(5, 10, alpha0=0.7, rho=1.3), SolverKind.BADMM)
+        alt, _ = solve(x, UotParams.uniform(5, 10, alpha0=0.7, alpha1=37.0,
+                                            alpha2=0.03, rho=1.3), SolverKind.BADMM)
         assert np.abs(base - alt).max() < 1e-12
 
-    @pytest.mark.parametrize("solver,reg", [
-        (sinkhorn_uot, Regularizer.ENTROPIC),
-        (badmm_uot, Regularizer.ENTROPIC),
-        (badmm_uot, Regularizer.QUADRATIC),
-    ])
-    def test_objective_trace_nonincreasing(self, solver, reg):
+    @pytest.mark.parametrize("kind,reg", SOLVER_CONFIGS, ids=kind_id)
+    def test_objective_trace_nonincreasing(self, kind, reg):
         for seed in range(3):
             x = random_input(100 + seed)
             params = UotParams.uniform(5, 10, k_iters=16, alpha0=0.1, reg=reg)
-            _, diag = solver(x, params)
+            _, diag = solve(x, params, kind)
             t = diag.objective_trace
             assert np.all(np.diff(t) <= 1e-9), t
 
-    @pytest.mark.parametrize("solver", [sinkhorn_uot, badmm_uot])
-    def test_trace_length_matches_module_count(self, solver):
+    @pytest.mark.parametrize("kind", list(SolverKind), ids=kind_id)
+    def test_trace_length_matches_module_count(self, kind):
         for k in (1, 3, 7):
-            _, diag = solver(random_input(8), UotParams.uniform(5, 10, k_iters=k,
-                                                               alpha0=0.1))
+            _, diag = solve(random_input(8), UotParams.uniform(5, 10, k_iters=k,
+                                                              alpha0=0.1), kind)
             assert diag.objective_trace.shape == (k,)
 
     def test_final_trace_entry_matches_objective(self):
         x = random_input(9)
         params = UotParams.uniform(5, 10, k_iters=4, alpha0=0.5, alpha1=2.0,
                                    alpha2=0.8, rho=1.1)
-        plan, diag = badmm_uot(x, params)
+        plan, diag = solve(x, params, SolverKind.BADMM)
         val = uot_objective(x, plan, 0.5, 2.0, 0.8, params.p0, params.q0, params.reg)
         assert diag.objective_trace[-1] == pytest.approx(val, rel=1e-12)
 
@@ -441,7 +450,7 @@ class TestSolverInvariants:
                 for a12 in (1e-5, 1e4):
                     params = UotParams.uniform(5, 10, alpha0=a0, alpha1=a12,
                                                alpha2=a12, reg=reg)
-                    plan, diag = badmm_uot(x, params)
+                    plan, diag = solve(x, params, SolverKind.BADMM)
                     assert not diag.has_nan
                     assert diag.total_mass == pytest.approx(1.0, abs=1e-12)
 
@@ -451,28 +460,24 @@ class TestSolverInvariants:
         x = random_input(11)
         params = UotParams.uniform(5, 10, k_iters=4, alpha0=1e-5, alpha1=1e-5,
                                    alpha2=1e-5)
-        plan, diag = sinkhorn_uot(x, params)
+        plan, diag = solve(x, params, SolverKind.SINKHORN)
         assert diag.has_nan
 
     def test_sinkhorn_rejects_quadratic(self):
         params = UotParams.uniform(3, 4, reg=Regularizer.QUADRATIC)
         with pytest.raises(ValueError, match="entropic"):
-            sinkhorn_uot(np.zeros((3, 4)), params)
+            solve(np.zeros((3, 4)), params, SolverKind.SINKHORN)
 
-    @pytest.mark.parametrize("solver", [sinkhorn_uot, badmm_uot])
-    def test_dimension_mismatch_rejected(self, solver):
+    @pytest.mark.parametrize("kind", list(SolverKind), ids=kind_id)
+    def test_dimension_mismatch_rejected(self, kind):
         params = UotParams.uniform(3, 4)
         with pytest.raises(ValueError):
-            solver(np.zeros((4, 3)), params)
+            solve(np.zeros((4, 3)), params, kind)
         with pytest.raises(ValueError):
-            solver(np.zeros((2, 3, 4)), params)
-        with pytest.raises(ValueError):
-            solver(np.zeros(4), params)
+            solve(np.zeros(4), params, kind)
 
 
 class TestSolve:
-    SINGLE = {SolverKind.SINKHORN: sinkhorn_uot, SolverKind.BADMM: badmm_uot}
-
     @pytest.mark.parametrize("kind", list(SolverKind))
     def test_batch_matches_single_solves(self, kind):
         xs = np.stack([random_input(s) for s in (1, 2, 3)])
@@ -480,7 +485,7 @@ class TestSolve:
         plan, diag = solve(xs, params, kind)
         assert plan.shape == xs.shape
         assert diag.objective_trace.shape == (3, 3)
-        singles = [self.SINGLE[kind](x, params) for x in xs]
+        singles = [solve(x, params, kind) for x in xs]
         for i, (p_i, d_i) in enumerate(singles):
             np.testing.assert_array_equal(plan[i], p_i)
             np.testing.assert_array_equal(diag.objective_trace[:, i], d_i.objective_trace)
@@ -495,7 +500,7 @@ class TestSolve:
         xs = np.stack([random_input(11), np.zeros((5, 10)), random_input(12)])
         params = UotParams.uniform(5, 10, k_iters=4, alpha0=1e-5, alpha1=1e-5,
                                    alpha2=1e-5)
-        flags = [self.SINGLE[kind](x, params)[1].has_nan for x in xs]
+        flags = [solve(x, params, kind)[1].has_nan for x in xs]
         if kind is SolverKind.SINKHORN:
             assert flags == [True, False, True]
         assert solve(xs, params, kind)[1].has_nan == any(flags)
