@@ -65,7 +65,8 @@ def pool_with_plan(x: np.ndarray, plan: np.ndarray) -> np.ndarray:
     plan = np.asarray(plan, dtype=np.float64)
     if x.shape != plan.shape:
         raise ValueError(f"input and plan shapes differ: {x.shape} vs {plan.shape}")
-    return (x * row_conditional(plan)).sum(axis=-1)
+    weights = row_conditional(plan)
+    return np.multiply(weights, x, out=weights).sum(axis=-1)
 
 
 def mean_pool(x: np.ndarray) -> np.ndarray:

@@ -574,7 +574,7 @@ def _badmm_pullback(x, params, log_p0, log_q0, tape, plan_bar) -> np.ndarray:
     return grad
 
 
-def _sinkhorn_energy(x, plan, duals, row, col, a0, log_p0, log_q0, reg) -> np.ndarray:
+def _sinkhorn_energy(duals, row, col, a0, log_p0, log_q0, reg) -> np.ndarray:
     """``<-x, P> + a0 (<P, log P> - m)`` from the duals and the plan's sums.
 
     ``log P = x / a0 + (log p0 + a) (+) (log q0 + b)``, so the ``x`` terms
@@ -586,17 +586,22 @@ def _sinkhorn_energy(x, plan, duals, row, col, a0, log_p0, log_q0, reg) -> np.nd
                  - row.sum(axis=-1))
 
 
-def _badmm_energy(x, plan, log_p, row, col, a0, log_p0, log_q0, reg) -> np.ndarray:
-    """``<-x, P> + a0 R(P)`` in one pass over the plan, reading ``log P``
-    from before its ``exp``."""
-    if reg is Regularizer.QUADRATIC:
-        return (plan * (a0 * plan - x)).sum(axis=(-2, -1))
-    return (plan * (a0 * log_p - x)).sum(axis=(-2, -1)) - a0 * row.sum(axis=-1)
+def _badmm_record(x, plan, log_p, a0, reg) -> tuple:
+    """A module's one full-matrix term: ``<P, a0 log P - x>`` (entropic) or ``<P, a0 P - x>``."""
+    term = plan * (a0 * (plan if reg is Regularizer.QUADRATIC else log_p) - x)
+    return (term.sum(axis=(-2, -1)),)
 
 
+def _badmm_energy(terms, row, col, a0, log_p0, log_q0, reg) -> np.ndarray:
+    """``<-x, P> + a0 R(P)``: the module's term, less ``a0 m`` when entropic."""
+    return terms[0] if reg is Regularizer.QUADRATIC else terms[0] - a0 * row.sum(axis=-1)
+
+
+# Per scheme: module generator, per-module trace record, energy over the stacked records, pullback.
 _SCHEMES = {
-    SolverKind.SINKHORN: (_sinkhorn_plans, _sinkhorn_energy, _sinkhorn_pullback),
-    SolverKind.BADMM: (_badmm_plans, _badmm_energy, _badmm_pullback),
+    SolverKind.SINKHORN: (_sinkhorn_plans, lambda x, plan, duals, a0, reg: duals,
+                          _sinkhorn_energy, _sinkhorn_pullback),
+    SolverKind.BADMM: (_badmm_plans, _badmm_record, _badmm_energy, _badmm_pullback),
 }
 
 
@@ -609,24 +614,33 @@ _CHUNK_BYTES = 2 << 20
 def _solve_chunk(x: np.ndarray, params: UotParams, kind: SolverKind):
     """Final plan and objective trace of one chunk of batch items.
 
-    The trace adds the KL terms of the plan's row and column sums to the
-    scheme's energy. An item whose entry is not finite is evaluated again
+    Each module keeps its plan's row and column sums and the scheme's record;
+    after the loop, the energies and the KL terms of all modules are
+    evaluated at once over the stacked sums. The items with a non-finite
+    entry are solved again on their own, and those entries evaluated
     directly, so an entry is non-finite exactly where the direct evaluation
     of :func:`uot_objective` is.
     """
-    modules, energy, _ = _SCHEMES[kind]
+    modules, record, energy, _ = _SCHEMES[kind]
     log_p0, log_q0 = np.log(params.p0), np.log(params.q0)
-    trace = np.empty((params.k_iters,) + x.shape[:-2])
+    records = []
     for k, (plan, state) in enumerate(modules(x, params, log_p0, log_q0)):
-        a0, a1, a2 = (float(w[k]) for w in (params.alpha0, params.alpha1, params.alpha2))
-        row, col = plan.sum(axis=-1), plan.sum(axis=-2)
-        t = trace[k, ...]
-        t[...] = (energy(x, plan, state, row, col, a0, log_p0, log_q0, params.reg)
-                  + a1 * _kl(row, params.p0) + a2 * _kl(col, params.q0))
-        bad = ~np.isfinite(t)
-        if bad.any():
-            t[bad] = _objective_core(x[bad], plan[bad], a0, a1, a2, params.p0, params.q0,
-                                     params.reg)
+        records.append((plan.sum(axis=-1), plan.sum(axis=-2),
+                        *record(x, plan, state, float(params.alpha0[k]), params.reg)))
+    row, col, *parts = map(np.array, zip(*records))
+    a0, a1, a2 = (w.reshape(w.shape + (1,) * (x.ndim - 2))
+                  for w in (params.alpha0, params.alpha1, params.alpha2))
+    trace = (energy(parts, row, col, a0, log_p0, log_q0, params.reg)
+             + a1 * _kl(row, params.p0) + a2 * _kl(col, params.q0))
+    bad = ~np.isfinite(trace)
+    if bad.any():  # items never share arithmetic: re-running a subset gives the same plans
+        redo = bad.any(axis=0)
+        for k, (p, _) in enumerate(modules(x[redo], params, log_p0, log_q0)):
+            hit = bad[k, ...][redo]
+            if hit.any():
+                trace[k, ...][bad[k, ...]] = _objective_core(
+                    x[redo][hit], p[hit], *(float(w.flat[k]) for w in (a0, a1, a2)),
+                    params.p0, params.q0, params.reg)
     return plan, trace
 
 
@@ -691,10 +705,13 @@ def solve(
     diagnostics. For a batch, ``objective_trace`` has shape
     ``(k_iters,) + batch_shape`` and the other fields are totals over the
     items: ``has_nan`` is set if any item is non-finite, and ``total_mass``
-    and the marginal gaps are sums. Numerical failure never raises. A
-    batch over the chunk budget (about 2 MiB per full-size array) runs in
-    chunks of items on up to ``os.cpu_count()`` threads; a single matrix
-    runs on the calling thread. Results do not depend on the thread count.
+    and the marginal gaps are sums. Numerical failure never raises. The
+    trace is evaluated after the last module from each module's plan sums;
+    items with a non-finite entry are solved again alone, and those entries
+    evaluated directly. A batch over the chunk budget (about 2 MiB per
+    full-size array) runs in chunks of items on up to ``os.cpu_count()``
+    threads; a single matrix runs on the calling thread. Results do not
+    depend on the thread count.
     """
     plan, trace = _solve_core(_checked_input(x, params, kind), params, kind)
     return plan, _diagnostics(plan, trace, params)
@@ -717,7 +734,7 @@ def solve_vjp(
     ``x``, which must not change in between. Non-finite values propagate.
     """
     x = _checked_input(x, params, kind)
-    modules, _, pullback = _SCHEMES[kind]
+    modules, _, _, pullback = _SCHEMES[kind]
     log_p0, log_q0 = np.log(params.p0), np.log(params.q0)
     tape: list = []
     with np.errstate(all="ignore"):

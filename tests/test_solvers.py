@@ -584,6 +584,41 @@ class TestSolveCoreMatchesSteps:
         assert not diag.has_nan
         np.testing.assert_allclose(diag.objective_trace, ref_trace, rtol=1e-12, atol=1e-12)
 
+    def test_non_finite_entries_evaluated_directly_per_module(self):
+        # Over the ``uotpool stability`` grid, a batch of two items the kernel
+        # scheme overflows on, a zero item and a finite item. In one cell the
+        # first overflows from the second module on, the other from the last.
+        x = random_input(0)
+        xs = np.stack([x - 0.5, np.zeros((5, 10)), -x, x - 0.7])
+        decades = [10.0 ** e for e in range(-5, 5)]
+        mixed = 0
+        for a0 in decades:
+            for a12 in decades:
+                params = UotParams.uniform(5, 10, k_iters=4, alpha0=a0, alpha1=a12, alpha2=a12)
+                singles = [solve(x_i, params, SolverKind.SINKHORN)[1] for x_i in xs]
+                with mock.patch.object(solvers, "_objective_core",
+                                       wraps=solvers._objective_core) as core:
+                    _, diag = solve(xs, params, SolverKind.SINKHORN)
+                for i, d_i in enumerate(singles):
+                    np.testing.assert_array_equal(diag.objective_trace[:, i], d_i.objective_trace)
+                bad_per_module = (~np.isfinite(diag.objective_trace)).sum(axis=1)
+                assert [len(c.args[0]) for c in core.call_args_list] == \
+                    [n for n in bad_per_module if n]
+                mixed += bad_per_module.tolist() == [0, 1, 1, 2]  # the cell named above
+        assert mixed >= 1
+
+    @pytest.mark.parametrize("batch", [(), (3,), (2, 4)])
+    @pytest.mark.parametrize("kind,reg", SOLVER_CONFIGS)
+    def test_finite_solve_runs_modules_once(self, kind, reg, batch):
+        params = UotParams.uniform(5, 10, k_iters=3, alpha0=0.5, reg=reg)
+        x = np.random.default_rng(5).uniform(0.0, 1.0, batch + (5, 10))
+        with mock.patch.object(solvers, "logsumexp_rows", wraps=solvers.logsumexp_rows) as rows, \
+                mock.patch.object(solvers, "_objective_core") as core:
+            _, diag = solve(x, params, kind)
+        assert np.isfinite(diag.objective_trace).all()
+        assert rows.call_count == params.k_iters
+        core.assert_not_called()
+
 
 class TestChunkedSolve:
     """Batches split into chunks of items on a thread pool."""
