@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
-from .numerics import softplus, softplus_inverse
+from .numerics import expit, softplus, softplus_inverse
 from .pooling import UotBadmmPooling, UotSinkhornPooling, pool_with_plan
 from .solvers import Regularizer, UotParams, solve_vjp
 

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from typing import ClassVar, Union
 
 import numpy as np
-from scipy.special import expit
 
-from .numerics import row_conditional, softmax
+from .numerics import expit, row_conditional, softmax
 from .solvers import SolverDiagnostics, SolverKind, UotParams, solve
 
 __all__ = [

@@ -42,7 +42,6 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.special import rel_entr, xlogy
 
 from .numerics import logsumexp_cols, logsumexp_rows, validate_simplex
 
@@ -358,9 +357,14 @@ def badmm_dual_update(state: BadmmState, alpha0_k: float, rho_k: float) -> Badmm
     return replace(state, z_mat=z_mat, z1=z1, z2=z2)
 
 
-def _kl(v: np.ndarray, prior: np.ndarray) -> np.ndarray:
-    """Generalized KL divergence of the vector(s) ``v`` from ``prior``."""
-    return rel_entr(v, prior).sum(axis=-1) - v.sum(axis=-1) + prior.sum()
+def _log0(v: np.ndarray) -> np.ndarray:
+    """``log v`` with ``v`` clamped to the smallest normal float, so ``0 * _log0(0) = 0``."""
+    return np.log(np.maximum(v, 2.2250738585072014e-308))
+
+
+def _kl(v: np.ndarray, prior: np.ndarray, log_prior: np.ndarray) -> np.ndarray:
+    """Generalized KL divergence of the vector(s) ``v`` from the positive ``prior``."""
+    return np.add.reduce(v * (_log0(v) - (log_prior + 1.0)), -1) + prior.sum()
 
 
 def _objective_core(
@@ -377,10 +381,11 @@ def _objective_core(
     with np.errstate(all="ignore"):
         cost = -(x * p).sum(axis=(-2, -1))
         if reg is Regularizer.ENTROPIC:
-            r = xlogy(p, p).sum(axis=(-2, -1)) - p.sum(axis=(-2, -1))
+            r = (p * _log0(p)).sum(axis=(-2, -1)) - p.sum(axis=(-2, -1))
         else:
             r = (p * p).sum(axis=(-2, -1))
-        kl_row, kl_col = _kl(p.sum(axis=-1), p0), _kl(p.sum(axis=-2), q0)
+        kl_row = _kl(p.sum(axis=-1), p0, np.log(p0))
+        kl_col = _kl(p.sum(axis=-2), q0, np.log(q0))
         return cost + alpha0 * r + alpha1 * kl_row + alpha2 * kl_col
 
 
@@ -631,7 +636,7 @@ def _solve_chunk(x: np.ndarray, params: UotParams, kind: SolverKind):
     a0, a1, a2 = (w.reshape(w.shape + (1,) * (x.ndim - 2))
                   for w in (params.alpha0, params.alpha1, params.alpha2))
     trace = (energy(parts, row, col, a0, log_p0, log_q0, params.reg)
-             + a1 * _kl(row, params.p0) + a2 * _kl(col, params.q0))
+             + a1 * _kl(row, params.p0, log_p0) + a2 * _kl(col, params.q0, log_q0))
     bad = ~np.isfinite(trace)
     if bad.any():  # items never share arithmetic: re-running a subset gives the same plans
         redo = bad.any(axis=0)

@@ -259,6 +259,11 @@ class TestManifest:
         expected_keys = {f.name for f in dataclasses.fields(ExperimentConfig)}
         assert set(echo) == expected_keys
 
+    def test_records_numpy_version(self, tmp_path):
+        cmd_stability(ExperimentConfig(out=str(tmp_path), dims=(4, 6), k_iters=1))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["numpy"] == np.__version__
+
     def test_seed_echo_uses_override(self, tmp_path):
         cmd_stability(ExperimentConfig(out=str(tmp_path), dims=(4, 6),
                                        k_iters=1, seed=99))

@@ -1,5 +1,8 @@
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import uotpool
@@ -38,3 +41,13 @@ def test_readme_example_runs():
     blocks = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], str(readme), "exec"), {})
+
+
+def test_import_does_not_load_scipy():
+    # scipy is a test oracle only; importing the package and its CLI must not pull it in.
+    code = ("import sys, uotpool, uotpool.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(uotpool.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
