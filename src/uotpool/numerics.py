@@ -32,12 +32,14 @@ class DegenerateRowError(ValueError):
     """A matrix row that must carry positive mass sums to zero.
 
     Attributes:
-        row: index of the first offending row.
+        row: index of the first offending row within its matrix.
+        item: flat index of that matrix in a batch, or ``None`` for a single matrix.
     """
 
-    def __init__(self, row: int):
-        self.row = int(row)
-        super().__init__(f"row {self.row} has zero total mass; cannot normalize")
+    def __init__(self, row: int, item: int | None = None):
+        self.row, self.item = int(row), None if item is None else int(item)
+        where = "" if item is None else f" of item {self.item}"
+        super().__init__(f"row {self.row}{where} has zero total mass; cannot normalize")
 
 
 def _require_matrix(m: np.ndarray, name: str) -> np.ndarray:
@@ -140,16 +142,16 @@ def row_conditional(p: np.ndarray) -> np.ndarray:
     """Normalize each row of a nonnegative matrix to sum to one.
 
     Raises :class:`DegenerateRowError` for the first row whose total mass is
-    exactly zero; a zero row signals a failed solve and must not be papered
-    over with a uniform fallback. Non-finite rows are left to propagate so
-    that NaN diagnostics remain visible downstream.
+    exactly zero, and its batch item; a zero row signals a failed solve and
+    must not be papered over with a uniform fallback. Non-finite rows are
+    left to propagate so that NaN diagnostics remain visible downstream.
     """
     p = _require_matrix(p, "plan")
     sums = p.sum(axis=-1, keepdims=True)
     zero = sums == 0.0
     if np.any(zero):
-        idx = int(np.argwhere(zero)[0][-2])
-        raise DegenerateRowError(idx)
+        *item, row, _ = np.argwhere(zero)[0]
+        raise DegenerateRowError(row, np.ravel_multi_index(item, p.shape[:-2]) if item else None)
     with np.errstate(invalid="ignore"):
         return p / sums
 

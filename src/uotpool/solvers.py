@@ -33,7 +33,6 @@ against.
 
 from __future__ import annotations
 
-import math
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -100,7 +99,8 @@ class UotParams:
 
     def __post_init__(self):
         k = self.k_iters
-        if not (isinstance(k, numbers.Real) and float(k).is_integer() and k >= 1):
+        if isinstance(k, bool) or not (isinstance(k, numbers.Real) and float(k).is_integer()
+                                       and k >= 1):
             raise ValueError(f"k_iters must be a positive integer, got {k!r}")
         k = int(k)
         object.__setattr__(self, "k_iters", k)
@@ -424,6 +424,17 @@ def uot_objective(
     return float(_objective_core(x, p, alpha0, alpha1, alpha2, p0, q0, reg))
 
 
+def _lse(m: np.ndarray, axis: int, buf: np.ndarray) -> np.ndarray:
+    """``logsumexp_rows``/``cols`` unchecked, exponentiating in ``buf`` (may be ``m``)."""
+    shift = m.max(axis=axis, keepdims=True)
+    shift[~np.isfinite(shift)] = 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.exp(np.subtract(m, shift, out=buf), out=buf)
+        out = np.log(buf.sum(axis=axis))
+    out += shift.squeeze(axis)
+    return out
+
+
 def _sinkhorn_plans(
     x: np.ndarray,
     params: UotParams,
@@ -436,28 +447,29 @@ def _sinkhorn_plans(
 
     With the scaled cost ``C = x / alpha0 + log p0 (+) log q0``, the identity
     ``lse_rows(C + a + b) = a + lse_rows(C + b)`` makes each module two
-    reductions; the plan is ``exp(C + a + b)``, built in place. Each module
-    reuses the buffer of the plan yielded before it. A module reads only the
-    column dual ``b`` of the one before; ``tape`` records it with the
-    module's two reduction results ``u_row`` and ``u_col``.
+    reductions; the plan is ``exp((C + a) + b)``, built on the column
+    reduction's input. ``C`` is rebuilt only when ``alpha0`` changes; each
+    module reuses the yielded plan's buffer. A module reads only the column
+    dual ``b`` of the one before; ``tape`` records it with the module's two
+    reduction results ``u_row`` and ``u_col``.
     """
     a = np.zeros(x.shape[:-1])
     b = np.zeros(x.shape[:-2] + x.shape[-1:])
-    c = None
+    c, plan, tmp = np.empty(x.shape), np.empty(x.shape), np.empty(x.shape)
     for k in range(params.k_iters):
         a0, a1, a2 = float(params.alpha0[k]), float(params.alpha1[k]), float(params.alpha2[k])
-        c = np.divide(x, a0, out=c)
-        c += log_p0[:, None]
-        c += log_q0
-        u_row = log_p0 - logsumexp_rows(c + b[..., None, :])
+        if k == 0 or a0 != params.alpha0[k - 1]:
+            np.divide(x, a0, out=c)
+            c += log_p0[:, None]
+            c += log_q0
+        u_row = log_p0 - _lse(np.add(c, b[..., None, :], out=plan), -1, plan)
         a = a1 / (a0 + a1) * u_row
-        u_col = log_q0 - logsumexp_cols(c + a[..., :, None])
+        u_col = log_q0 - _lse(np.add(c, a[..., :, None], out=plan), -2, tmp)
         if tape is not None:
             tape.append((b, u_row, u_col))
         b = a2 / (a0 + a2) * u_col
-        c += a[..., :, None]
-        c += b[..., None, :]
-        yield np.exp(c, out=c), (a, b)
+        plan += b[..., None, :]
+        yield np.exp(plan, out=plan), (a, b)
 
 
 def _badmm_plans(
@@ -472,28 +484,38 @@ def _badmm_plans(
 
     The relaxed marginals stay at the priors and their duals at rounding
     level, so the projections use ``log p0`` and ``log q0`` directly and only
-    ``log_s`` and ``z`` are carried, recorded in ``tape`` as each module starts
-    (``z`` is updated in place, so as a copy). Each update keeps the step
-    functions' operation order; numpy reuses large temporaries in place.
+    ``log_s`` and ``z`` are carried, copied into ``tape`` as each module starts.
+    Each update keeps the step functions' operation order in buffers that
+    every module reuses; a module overwrites the yielded plan and log plan.
     """
     quadratic = params.reg is Regularizer.QUADRATIC
     log_s = np.broadcast_to(log_p0[:, None] + log_q0, x.shape).copy()
     z = np.zeros(x.shape)
+    log_p, plan, tmp = np.empty(x.shape), np.empty(x.shape), np.empty(x.shape)
     for k in range(params.k_iters):
         if tape is not None:
-            tape.append((log_s, z.copy()))
+            tape.append((log_s.copy(), z.copy()))
         a0, rho = float(params.alpha0[k]), float(params.rho[k])
         if quadratic:
-            s = a0 * np.exp(log_s)
-            log_p = (x - s - z) / rho + log_s
+            s = np.multiply(np.exp(log_s, out=tmp), a0, out=tmp)
+            log_p = np.subtract(np.subtract(x, s, out=log_p), z, out=log_p)
         else:
-            log_p = (x - z) / rho + log_s
-        log_p += (log_p0 - logsumexp_rows(log_p))[..., :, None]
-        log_s = (z - s) / rho + log_p if quadratic else (rho * log_p + z) / (a0 + rho)
-        log_s += (log_q0 - logsumexp_cols(log_s))[..., None, :]
-        p = np.exp(log_p)
-        z += a0 * (p - np.exp(log_s))
-        yield p, log_p
+            log_p = np.subtract(x, z, out=log_p)
+        log_p /= rho
+        log_p += log_s
+        log_p += (log_p0 - _lse(log_p, -1, plan))[..., :, None]
+        if quadratic:
+            np.subtract(z, s, out=log_s)
+            log_s /= rho
+            log_s += log_p
+        else:
+            np.multiply(log_p, rho, out=log_s)
+            log_s += z
+            log_s /= a0 + rho
+        log_s += (log_q0 - _lse(log_s, -2, tmp))[..., None, :]
+        np.exp(log_p, out=plan)
+        z += np.multiply(np.subtract(plan, np.exp(log_s, out=tmp), out=tmp), a0, out=tmp)
+        yield plan, log_p
 
 
 def _sinkhorn_pullback(x, params, log_p0, log_q0, tape, plan_bar) -> np.ndarray:
@@ -592,8 +614,11 @@ def _sinkhorn_energy(duals, row, col, a0, log_p0, log_q0, reg) -> np.ndarray:
 
 
 def _badmm_record(x, plan, log_p, a0, reg) -> tuple:
-    """A module's one full-matrix term: ``<P, a0 log P - x>`` (entropic) or ``<P, a0 P - x>``."""
-    term = plan * (a0 * (plan if reg is Regularizer.QUADRATIC else log_p) - x)
+    """A module's one full-matrix term: ``<P, a0 log P - x>`` (entropic) or
+    ``<P, a0 P - x>``, built in ``log_p``'s buffer, which the next module overwrites."""
+    term = np.multiply(plan if reg is Regularizer.QUADRATIC else log_p, a0, out=log_p)
+    term -= x
+    term *= plan
     return (term.sum(axis=(-2, -1)),)
 
 
@@ -611,9 +636,25 @@ _SCHEMES = {
 
 
 # Bytes of one full-size array per chunk of batch items: small enough that a
-# chunk's temporaries stay in cache (5 items at 100 x 500), large enough
-# that small batches run as one chunk.
-_CHUNK_BYTES = 2 << 20
+# chunk's few full-size buffers stay near a 4 MiB L2 (2 items at 100 x 500),
+# large enough that small batches run as one chunk.
+_CHUNK_BYTES = 1 << 20
+
+
+def _for_chunks(x: np.ndarray, run: Callable[[slice], None]) -> None:
+    """Call ``run`` on slices of the (items, D, N) array ``x`` within the chunk
+    budget, on up to ``os.cpu_count()`` threads."""
+    per_chunk = max(1, _CHUNK_BYTES // (x.itemsize * x.shape[-2] * x.shape[-1]))
+    starts = range(0, len(x), per_chunk)
+    if len(starts) <= 1:
+        return run(slice(None))  # on the calling thread, in the caller's np.errstate
+
+    def task(start: int) -> None:
+        with np.errstate(all="ignore"):  # each thread starts at numpy's default state
+            run(slice(start, start + per_chunk))
+
+    with ThreadPoolExecutor(min(os.cpu_count() or 1, len(starts))) as pool:
+        list(pool.map(task, starts))  # reading each result re-raises a worker's error
 
 
 def _solve_chunk(x: np.ndarray, params: UotParams, kind: SolverKind):
@@ -657,44 +698,45 @@ def _solve_core(
     """Run all modules on a (possibly batched) input.
 
     Returns the final plan with shape matching ``x`` and the objective
-    trace with shape ``(k_iters,) + batch_shape``. A batch larger than
-    ``_CHUNK_BYTES`` per full-size array runs as chunks of items on up to
-    ``os.cpu_count()`` threads, each writing its own slice of the result; a
-    single matrix or a smaller batch runs on the calling thread. Items never
-    share arithmetic, so the result does not depend on the thread count.
+    trace with shape ``(k_iters,) + batch_shape``. A batch runs as chunks of
+    items of at most ``_CHUNK_BYTES`` (1 MiB) per full-size array, on up to
+    ``os.cpu_count()`` threads that each write their own slice of the result.
+    Items never share arithmetic, so the result does not depend on the
+    thread count.
     """
     x = np.asarray(x, dtype=np.float64)
-    batch, (d, n) = x.shape[:-2], x.shape[-2:]
-    items = math.prod(batch)
-    per_chunk = max(1, _CHUNK_BYTES // (x.itemsize * d * n))
-    if items <= per_chunk:
+    if x.ndim == 2:
         with np.errstate(all="ignore"):
             return _solve_chunk(x, params, kind)
-    flat = x.reshape((items, d, n))
-    plan = np.empty(flat.shape)
-    trace = np.empty((params.k_iters, items))
+    flat = x.reshape((-1,) + x.shape[-2:])
+    plan, trace = np.empty(flat.shape), np.empty((params.k_iters, len(flat)))
 
-    def run(start: int) -> None:
-        chunk = slice(start, start + per_chunk)
-        with np.errstate(all="ignore"):  # each thread starts at numpy's default state
-            plan[chunk], trace[:, chunk] = _solve_chunk(flat[chunk], params, kind)
+    def run(chunk: slice) -> None:
+        plan[chunk], trace[:, chunk] = _solve_chunk(flat[chunk], params, kind)
 
-    starts = range(0, items, per_chunk)
-    with ThreadPoolExecutor(min(os.cpu_count() or 1, len(starts))) as pool:
-        for _ in pool.map(run, starts):  # reading each result re-raises a worker's error
-            pass
-    return plan.reshape(x.shape), trace.reshape((params.k_iters,) + batch)
+    with np.errstate(all="ignore"):
+        _for_chunks(flat, run)
+    return plan.reshape(x.shape), trace.reshape((params.k_iters,) + x.shape[:-2])
 
 
 def _diagnostics(plan: np.ndarray, trace: np.ndarray, params: UotParams) -> SolverDiagnostics:
-    finite = bool(np.isfinite(plan).all()) and bool(np.isfinite(trace).all())
-    with np.errstate(invalid="ignore"):
+    """Row and column sums run per chunk, like the solve. Plan entries are ``exp``
+    values, in [0, inf] or NaN: if every row sum is finite, so is every entry."""
+    flat = plan.reshape((-1,) + plan.shape[-2:])
+    row, col = np.empty(flat.shape[:-1]), np.empty((len(flat), flat.shape[-1]))
+
+    def run(chunk: slice) -> None:
+        row[chunk], col[chunk] = flat[chunk].sum(axis=-1), flat[chunk].sum(axis=-2)
+
+    with np.errstate(all="ignore"):
+        _for_chunks(flat, run)
+        finite = np.isfinite(trace).all() and (np.isfinite(row).all() or np.isfinite(plan).all())
         return SolverDiagnostics(
             has_nan=not finite,
             total_mass=float(plan.sum()),  # plan entries are exp values: never negative
             objective_trace=trace,
-            marginal_gap_row=float(np.abs(plan.sum(axis=-1) - params.p0).sum()),
-            marginal_gap_col=float(np.abs(plan.sum(axis=-2) - params.q0).sum()),
+            marginal_gap_row=float(np.abs(row - params.p0).sum()),
+            marginal_gap_col=float(np.abs(col - params.q0).sum()),
         )
 
 
@@ -713,10 +755,10 @@ def solve(
     and the marginal gaps are sums. Numerical failure never raises. The
     trace is evaluated after the last module from each module's plan sums;
     items with a non-finite entry are solved again alone, and those entries
-    evaluated directly. A batch over the chunk budget (about 2 MiB per
-    full-size array) runs in chunks of items on up to ``os.cpu_count()``
-    threads; a single matrix runs on the calling thread. Results do not
-    depend on the thread count.
+    evaluated directly. A batch over the chunk budget (1 MiB per full-size
+    array, 2 items at 100 x 500) runs, and has its diagnostics summed, in
+    chunks of items on up to ``os.cpu_count()`` threads; a single matrix runs
+    on the calling thread. Results do not depend on the thread count.
     """
     plan, trace = _solve_core(_checked_input(x, params, kind), params, kind)
     return plan, _diagnostics(plan, trace, params)

@@ -221,6 +221,16 @@ class TestRowConditional:
             row_conditional(m)
         assert info.value.row == 2
 
+    def test_zero_row_names_flat_batch_item(self):
+        m = np.ones((2, 3, 2, 4))
+        m[1, 0] = 0.0
+        with pytest.raises(DegenerateRowError, match="row 0 of item 3 has zero") as info:
+            row_conditional(m)
+        assert (info.value.row, info.value.item) == (0, 3)
+        with pytest.raises(DegenerateRowError) as info:
+            row_conditional(np.zeros((2, 2)))
+        assert info.value.item is None
+
     def test_nan_propagates_without_raising(self):
         m = np.array([[np.nan, 1.0], [1.0, 1.0]])
         out = row_conditional(m)

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -27,7 +28,7 @@ from uotpool import (
     solve_vjp,
     uot_objective,
 )
-from uotpool import solvers
+from uotpool import DegenerateRowError, pooling, solvers
 from uotpool.pooling import attention_config
 
 SOLVER_CONFIGS = [
@@ -111,7 +112,7 @@ class TestUotParams:
 
     def test_k_iters_must_be_integral(self):
         # int() used to truncate these to 2 and 3 modules, and to parse "3".
-        for k in (2.7, np.float64(3.9), "3"):
+        for k in (2.7, np.float64(3.9), "3", True, False):
             with pytest.raises(ValueError, match="k_iters"):
                 UotParams.uniform(3, 4, k_iters=k)
         for k in (4, np.int64(4)):
@@ -612,11 +613,12 @@ class TestSolveCoreMatchesSteps:
     def test_finite_solve_runs_modules_once(self, kind, reg, batch):
         params = UotParams.uniform(5, 10, k_iters=3, alpha0=0.5, reg=reg)
         x = np.random.default_rng(5).uniform(0.0, 1.0, batch + (5, 10))
-        with mock.patch.object(solvers, "logsumexp_rows", wraps=solvers.logsumexp_rows) as rows, \
+        with mock.patch.object(solvers, "_lse", wraps=solvers._lse) as lse, \
                 mock.patch.object(solvers, "_objective_core") as core:
             _, diag = solve(x, params, kind)
         assert np.isfinite(diag.objective_trace).all()
-        assert rows.call_count == params.k_iters
+        rows = [c for c in lse.call_args_list if c.args[1] == -1]
+        assert len(rows) == params.k_iters
         core.assert_not_called()
 
 
@@ -665,6 +667,106 @@ class TestChunkedSolve:
                 for i, (plan_i, _) in enumerate(singles):
                     np.testing.assert_array_equal(plan[i], plan_i)
         assert overflowing >= 1
+
+
+    @pytest.mark.parametrize("kind,reg", SOLVER_CONFIGS)
+    def test_epilogue_per_item_chunks_is_bitwise_one_chunk(self, kind, reg):
+        # Diagnostics and pool_with_plan with one item per chunk, against one
+        # chunk for the whole batch, on a batch whose item 4 holds a NaN.
+        rng = np.random.default_rng(8)
+        params = UotParams.uniform(6, 7, k_iters=3, alpha0=0.3, reg=reg)
+        x = rng.uniform(-2.0, 2.0, (2, 3, 6, 7))
+        for nan_item in (False, True):
+            if nan_item:
+                x[1, 1, 2, 5] = np.nan
+            plan, diag = solve(x, params, kind)
+            pooled = pool_with_plan(x, plan)
+            with mock.patch.object(solvers, "_CHUNK_BYTES", 1), \
+                    mock.patch.object(pooling, "_CHUNK_BYTES", 1), \
+                    mock.patch.object(solvers, "ThreadPoolExecutor",
+                                      wraps=ThreadPoolExecutor) as pool, \
+                    mock.patch.object(pooling, "row_conditional",
+                                      wraps=pooling.row_conditional) as rows:
+                chunked_plan, chunked = solve(x, params, kind)
+                chunked_pooled = pool_with_plan(x, chunked_plan)
+            assert pool.call_count == 2  # the solve, then the diagnostics
+            assert rows.call_count == 6
+            np.testing.assert_array_equal(chunked_plan, plan)
+            np.testing.assert_array_equal(chunked_pooled, pooled)
+            np.testing.assert_array_equal(chunked.objective_trace, diag.objective_trace)
+            for field in ("has_nan", "total_mass", "marginal_gap_row", "marginal_gap_col"):
+                np.testing.assert_array_equal(getattr(chunked, field), getattr(diag, field))
+            assert chunked.has_nan is nan_item
+            assert np.isnan(chunked_pooled[1, 1]).any() == nan_item
+            assert np.isfinite(np.delete(chunked_pooled.reshape(6, 6), 4, axis=0)).all()
+
+    def test_has_nan_follows_entries_when_row_sums_overflow(self):
+        # Plan entries are exp values: a NaN or inf entry makes its row sum
+        # non-finite, but finite entries can also overflow a row sum, and
+        # that alone neither sets has_nan nor warns.
+        params = UotParams.uniform(2, 3, k_iters=1)
+        trace = np.zeros((1, 3))
+        plan = np.full((3, 2, 3), 0.1)
+        with mock.patch.object(solvers, "_CHUNK_BYTES", 1):
+            assert not solvers._diagnostics(plan, trace, params).has_nan
+            plan[2, 1, 0] = np.inf
+            assert solvers._diagnostics(plan, trace, params).has_nan
+            plan[2, 1, 0] = 1.5e308
+            plan[2, 1, 1] = 1.5e308
+            diag = solvers._diagnostics(plan, trace, params)
+            assert not diag.has_nan and diag.total_mass == np.inf
+            plan[1, 0, 2] = np.nan
+            assert solvers._diagnostics(plan, trace, params).has_nan
+
+    def test_zero_plan_row_in_a_later_item_names_it(self):
+        x = np.ones((2, 3, 4, 5))
+        plan = np.full(x.shape, 0.05)
+        plan[1, 2, 3] = 0.0
+        for chunk_bytes in (1, 2**62):
+            with mock.patch.object(pooling, "_CHUNK_BYTES", chunk_bytes), \
+                    pytest.raises(DegenerateRowError, match="row 3 of item 5 ") as info:
+                pool_with_plan(x, plan)
+            assert (info.value.row, info.value.item) == (3, 5)
+
+
+class TestBufferReuse:
+    """The module generators allocate their full-size buffers once per chunk."""
+
+    @staticmethod
+    def full_size_allocations(x, params, kind):
+        """Full-size arrays allocated during a solve on top of those already
+        live, from tracemalloc's peak, summed over the stretches between
+        modules (a module and the trace record its plan yields)."""
+        modules, *rest = solvers._SCHEMES[kind]
+        count, base = 0, 0
+
+        def close_stretch():
+            nonlocal count, base
+            count += (tracemalloc.get_traced_memory()[1] - base) // x.nbytes
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+
+        def counted(*args, **kwargs):
+            close_stretch()
+            for out in modules(*args, **kwargs):
+                yield out
+                close_stretch()
+
+        with mock.patch.dict(solvers._SCHEMES, {kind: (counted, *rest)}):
+            tracemalloc.start()
+            try:
+                solve(x, params, kind)
+            finally:
+                tracemalloc.stop()
+        return count
+
+    @pytest.mark.parametrize("kind,reg", SOLVER_CONFIGS)
+    def test_deeper_solve_allocates_no_more_full_size_buffers(self, kind, reg):
+        x = np.random.default_rng(4).uniform(0.0, 1.0, (3, 100, 200))  # one chunk
+        counts = [self.full_size_allocations(x, UotParams.uniform(100, 200, k_iters=k,
+                                                                  alpha0=0.5, reg=reg), kind)
+                  for k in (2, 8)]
+        assert counts[1] <= counts[0] <= 6
 
 
 class TestSolveVjp:

@@ -1,0 +1,128 @@
+"""Print one SHA-256 over the outputs of a fixed set of solves.
+
+    python3 tools/solve_digest.py [--quick]
+
+Imports uotpool from the ``src/`` tree next to this script, so running it in
+two checkouts tells whether a change keeps every output bit. The digest
+covers, in a fixed order:
+
+* the ``uotpool stability`` grid (5 x 10, weights over ten decades, where
+  the Sinkhorn scheme overflows in some corners), for each solver config;
+* 450 random solves: shapes, batch axes, priors and per-module weights in
+  [1e-5, 1e4] drawn from fixed seeds, each solved with the default chunk
+  budget and again with one item per chunk, plus its ``solve_vjp`` plan and
+  weight gradient;
+* the 50 x 100 x 500 bench batch at K = 4 and 8 for each solver config
+  (``--quick`` skips it).
+
+For every solve it hashes the plan, every ``SolverDiagnostics`` field and the
+``pool_with_plan`` rows, or the row and item a ``DegenerateRowError`` names.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import struct
+import sys
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from uotpool import (  # noqa: E402
+    DegenerateRowError,
+    Regularizer,
+    SolverKind,
+    UotParams,
+    pool_with_plan,
+    solve,
+    solve_vjp,
+    solvers,
+)
+
+CONFIGS = (
+    (SolverKind.SINKHORN, Regularizer.ENTROPIC),
+    (SolverKind.BADMM, Regularizer.ENTROPIC),
+    (SolverKind.BADMM, Regularizer.QUADRATIC),
+)
+
+
+class Digest:
+    def __init__(self):
+        self.h = hashlib.sha256()
+        self.count = 0
+
+    def array(self, a) -> None:
+        a = np.ascontiguousarray(a, dtype=np.float64)
+        self.h.update(repr(a.shape).encode())
+        self.h.update(a.tobytes())
+
+    def solve(self, x, params, kind) -> None:
+        plan, diag = solve(x, params, kind)
+        self.array(plan)
+        self.array(diag.objective_trace)
+        self.h.update(struct.pack("<?ddd", diag.has_nan, diag.total_mass,
+                                  diag.marginal_gap_row, diag.marginal_gap_col))
+        try:
+            self.array(pool_with_plan(x, plan))
+        except DegenerateRowError as err:
+            # The parent's error has no item; hash what both name.
+            self.h.update(f"degenerate row {err.row}".encode())
+        self.count += 1
+
+    def vjp(self, x, params, kind, rng) -> None:
+        plan, pullback = solve_vjp(x, params, kind)
+        self.array(plan)
+        self.array(pullback(rng.standard_normal(x.shape)))
+
+
+def stability_grid(dig: Digest) -> None:
+    x = np.random.default_rng(0).uniform(0.0, 1.0, (5, 10))
+    decades = [10.0 ** e for e in range(-5, 5)]
+    for kind, reg in CONFIGS:
+        for a0 in decades:
+            for a12 in decades:
+                params = UotParams.uniform(5, 10, k_iters=4, alpha0=a0, alpha1=a12,
+                                           alpha2=a12, rho=1.0, reg=reg)
+                dig.solve(x, params, kind)
+
+
+def random_solves(dig: Digest, cases: int = 450) -> None:
+    for seed in range(cases):
+        rng = np.random.default_rng(10_000 + seed)
+        kind, reg = CONFIGS[seed % 3]
+        k, d, n = int(rng.integers(1, 9)), int(rng.integers(1, 9)), int(rng.integers(1, 12))
+        batch = tuple(int(b) for b in rng.integers(1, 4, rng.integers(0, 3)))
+        weights = np.exp(rng.uniform(np.log(1e-5), np.log(1e4), (4, k)))
+        params = UotParams(k, *weights, rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(n)), reg)
+        x = rng.uniform(-3.0, 3.0, batch + (d, n))
+        dig.solve(x, params, kind)
+        with mock.patch.object(solvers, "_CHUNK_BYTES", 1):
+            dig.solve(x, params, kind)
+        dig.vjp(x, params, kind, rng)
+
+
+def bench_batch(dig: Digest) -> None:
+    x = np.random.default_rng(0).uniform(0.0, 1.0, (50, 100, 500))
+    for kind, reg in CONFIGS:
+        for k in (4, 8):
+            dig.solve(x, UotParams.uniform(100, 500, k_iters=k, alpha0=0.1, reg=reg), kind)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--quick", action="store_true", help="skip the bench batch")
+    args = parser.parse_args()
+    dig = Digest()
+    stability_grid(dig)
+    random_solves(dig)
+    if not args.quick:
+        bench_batch(dig)
+    print(f"{dig.h.hexdigest()}  {dig.count} solves")
+
+
+if __name__ == "__main__":
+    main()
