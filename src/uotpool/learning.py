@@ -173,16 +173,24 @@ def generate_task_data(task: SyntheticTask) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(task.rule, MaxThreshold):
         pos_low = tau + 0.5 * (1.0 - tau)
         neg_cap = 2.0 * tau / 3.0
+        # Each bag's draws come in the order of a per-bag loop; the masked
+        # write below walks the mask bag by bag, so each lands where that
+        # loop would put it. A positive bag's peak is not redrawn.
+        row = x[:, j, :]
+        over = row >= np.where(y > 0, tau, neg_cap)[:, None]
+        counts = over.sum(axis=-1).tolist()
+        hits, peaks, draws = [], [], []
         for i in range(b):
-            if y[i] > 0:
-                hit = rng.integers(n)
-                x[i, j, hit] = rng.uniform(pos_low, 1.0)
-                over = x[i, j, :] >= tau
-                over[hit] = False
-                x[i, j, over] = rng.uniform(0.0, tau, over.sum())
+            if i % 2 == 0:
+                hits.append(rng.integers(n))
+                peaks.append(rng.uniform(pos_low, 1.0))
+                draws.append(rng.uniform(0.0, tau, counts[i] - over.item(i, hits[-1])))
             else:
-                over = x[i, j, :] >= neg_cap
-                x[i, j, over] = rng.uniform(0.0, neg_cap, over.sum())
+                draws.append(rng.uniform(0.0, neg_cap, counts[i]))
+        pos = np.arange(0, b, 2)
+        over[pos, hits] = False
+        row[pos, hits] = peaks
+        row[over] = np.concatenate([np.empty(0), *draws])  # also with no bags
     else:
         for i in range(b):
             if y[i] > 0:
@@ -268,7 +276,8 @@ def train_synthetic(
             weights_bar = pullback(plan_bar) * expit(v[: 4 * k].reshape(4, k))
             return np.concatenate([weights_bar.ravel(), features.T @ logits_bar, [logits_bar.sum()]])
 
-        return float(np.logaddexp(0.0, -y * logits).mean()), gradient
+        with np.errstate(invalid="ignore"):  # a NaN plan's NaN loss aborts the caller
+            return float(np.logaddexp(0.0, -y * logits).mean()), gradient
 
     current, gradient = loss_and_gradient(vec)
     trace = [current]

@@ -91,13 +91,14 @@ def softmax(v: np.ndarray) -> np.ndarray:
 
 def expit(x: np.ndarray | float) -> np.ndarray | float:
     """Logistic sigmoid 1 / (1 + exp(-x)); exactly 0 where exp(-x) overflows."""
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", under="ignore"):
         return 1.0 / (1.0 + np.exp(np.negative(x)))
 
 
 def softplus(x: np.ndarray | float) -> np.ndarray | float:
     """ln(1 + exp(x)), computed without overflow for large |x|."""
-    return np.logaddexp(0.0, x)
+    with np.errstate(under="ignore"):
+        return np.logaddexp(0.0, x)
 
 
 def softplus_inverse(y: np.ndarray | float) -> np.ndarray | float:
@@ -109,7 +110,8 @@ def softplus_inverse(y: np.ndarray | float) -> np.ndarray | float:
     y = np.asarray(y, dtype=np.float64)
     if np.any(y <= 0):
         raise ValueError("softplus_inverse requires strictly positive input")
-    return y + np.log1p(-np.exp(-y))
+    with np.errstate(under="ignore"):
+        return y + np.log1p(-np.exp(-y))
 
 
 def kl_divergence(a: np.ndarray, b: np.ndarray) -> float:
@@ -152,7 +154,7 @@ def row_conditional(p: np.ndarray) -> np.ndarray:
     if np.any(zero):
         *item, row, _ = np.argwhere(zero)[0]
         raise DegenerateRowError(row, np.ravel_multi_index(item, p.shape[:-2]) if item else None)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", under="ignore"):
         return p / sums
 
 

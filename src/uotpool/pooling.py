@@ -70,7 +70,8 @@ def pool_with_plan(x: np.ndarray, plan: np.ndarray) -> np.ndarray:
         raise ValueError(f"input and plan shapes differ: {x.shape} vs {plan.shape}")
     if x.ndim < 3:
         weights = row_conditional(plan)
-        return np.multiply(weights, x, out=weights).sum(axis=-1)
+        with np.errstate(under="ignore"):
+            return np.multiply(weights, x, out=weights).sum(axis=-1)
     flat_x, flat_plan = (a.reshape((-1,) + a.shape[-2:]) for a in (x, plan))
     out = np.empty(flat_plan.shape[:-1])
     step = max(1, _CHUNK_BYTES // max(1, flat_plan[:1].nbytes))
@@ -80,7 +81,8 @@ def pool_with_plan(x: np.ndarray, plan: np.ndarray) -> np.ndarray:
             weights = row_conditional(flat_plan[chunk])
         except DegenerateRowError as err:
             raise DegenerateRowError(err.row, start + err.item) from None
-        np.multiply(weights, flat_x[chunk], out=weights).sum(axis=-1, out=out[chunk])
+        with np.errstate(under="ignore"):
+            np.multiply(weights, flat_x[chunk], out=weights).sum(axis=-1, out=out[chunk])
     return out.reshape(x.shape[:-1])
 
 

@@ -523,16 +523,19 @@ def _sinkhorn_pullback(x, params, log_p0, log_q0, tape, plan_bar) -> np.ndarray:
 
     The taped reductions rebuild each module's row and column softmaxes;
     times the dual cotangents, they form the scaled cost's cotangent ``s``.
+    The scaled cost ``C`` is rebuilt only when ``alpha0`` changes.
     """
     grad = np.zeros((4, params.k_iters))
+    c, s = np.empty(x.shape), np.empty(x.shape)
     for k in reversed(range(params.k_iters)):
         a0, a1, a2 = float(params.alpha0[k]), float(params.alpha1[k]), float(params.alpha2[k])
         g1, g2 = a1 / (a0 + a1), a2 / (a0 + a2)
         b_prev, u_row, u_col = tape[k]
-        c = np.divide(x, a0)
-        c += log_p0[:, None]
-        c += log_q0
-        s = c + (g1 * u_row)[..., :, None]
+        if k == params.k_iters - 1 or a0 != params.alpha0[k + 1]:
+            np.divide(x, a0, out=c)
+            c += log_p0[:, None]
+            c += log_q0
+        np.add(c, (g1 * u_row)[..., :, None], out=s)
         if k == params.k_iters - 1:
             s += (g2 * u_col)[..., None, :]
             np.exp(s, out=s)
@@ -658,22 +661,26 @@ def _for_chunks(x: np.ndarray, run: Callable[[slice], None]) -> None:
 
 
 def _solve_chunk(x: np.ndarray, params: UotParams, kind: SolverKind):
-    """Final plan and objective trace of one chunk of batch items.
+    """Final plan, objective trace and final row and column sums of one
+    chunk of batch items.
 
-    Each module keeps its plan's row and column sums and the scheme's record;
-    after the loop, the energies and the KL terms of all modules are
-    evaluated at once over the stacked sums. The items with a non-finite
-    entry are solved again on their own, and those entries evaluated
-    directly, so an entry is non-finite exactly where the direct evaluation
-    of :func:`uot_objective` is.
+    Each module writes its plan's row and column sums into ``(K, items, D)``
+    and ``(K, items, N)`` arrays and keeps the scheme's record; after the
+    loop, the energies and the KL terms of all modules are evaluated at once
+    over them. The items with a non-finite entry are solved again on their
+    own, and those entries evaluated directly, so an entry is non-finite
+    exactly where the direct evaluation of :func:`uot_objective` is.
     """
     modules, record, energy, _ = _SCHEMES[kind]
     log_p0, log_q0 = np.log(params.p0), np.log(params.q0)
+    row = np.empty((params.k_iters,) + x.shape[:-1])
+    col = np.empty((params.k_iters,) + x.shape[:-2] + x.shape[-1:])
     records = []
     for k, (plan, state) in enumerate(modules(x, params, log_p0, log_q0)):
-        records.append((plan.sum(axis=-1), plan.sum(axis=-2),
-                        *record(x, plan, state, float(params.alpha0[k]), params.reg)))
-    row, col, *parts = map(np.array, zip(*records))
+        plan.sum(axis=-1, out=row[k])
+        plan.sum(axis=-2, out=col[k])
+        records.append(record(x, plan, state, float(params.alpha0[k]), params.reg))
+    parts = list(map(np.array, zip(*records)))
     a0, a1, a2 = (w.reshape(w.shape + (1,) * (x.ndim - 2))
                   for w in (params.alpha0, params.alpha1, params.alpha2))
     trace = (energy(parts, row, col, a0, log_p0, log_q0, params.reg)
@@ -687,19 +694,16 @@ def _solve_chunk(x: np.ndarray, params: UotParams, kind: SolverKind):
                 trace[k, ...][bad[k, ...]] = _objective_core(
                     x[redo][hit], p[hit], *(float(w.flat[k]) for w in (a0, a1, a2)),
                     params.p0, params.q0, params.reg)
-    return plan, trace
+    return plan, trace, row[-1], col[-1]
 
 
-def _solve_core(
-    x: np.ndarray,
-    params: UotParams,
-    kind: SolverKind,
-) -> tuple[np.ndarray, np.ndarray]:
+def _solve_with_sums(x: np.ndarray, params: UotParams, kind: SolverKind) -> tuple:
     """Run all modules on a (possibly batched) input.
 
-    Returns the final plan with shape matching ``x`` and the objective
-    trace with shape ``(k_iters,) + batch_shape``. A batch runs as chunks of
-    items of at most ``_CHUNK_BYTES`` (1 MiB) per full-size array, on up to
+    Returns the final plan with shape matching ``x``, the objective trace
+    with shape ``(k_iters,) + batch_shape``, and the final plan's row and
+    column sums per item. A batch runs as chunks of items of at most
+    ``_CHUNK_BYTES`` (1 MiB) per full-size array, on up to
     ``os.cpu_count()`` threads that each write their own slice of the result.
     Items never share arithmetic, so the result does not depend on the
     thread count.
@@ -710,26 +714,27 @@ def _solve_core(
             return _solve_chunk(x, params, kind)
     flat = x.reshape((-1,) + x.shape[-2:])
     plan, trace = np.empty(flat.shape), np.empty((params.k_iters, len(flat)))
-
-    def run(chunk: slice) -> None:
-        plan[chunk], trace[:, chunk] = _solve_chunk(flat[chunk], params, kind)
-
-    with np.errstate(all="ignore"):
-        _for_chunks(flat, run)
-    return plan.reshape(x.shape), trace.reshape((params.k_iters,) + x.shape[:-2])
-
-
-def _diagnostics(plan: np.ndarray, trace: np.ndarray, params: UotParams) -> SolverDiagnostics:
-    """Row and column sums run per chunk, like the solve. Plan entries are ``exp``
-    values, in [0, inf] or NaN: if every row sum is finite, so is every entry."""
-    flat = plan.reshape((-1,) + plan.shape[-2:])
     row, col = np.empty(flat.shape[:-1]), np.empty((len(flat), flat.shape[-1]))
 
     def run(chunk: slice) -> None:
-        row[chunk], col[chunk] = flat[chunk].sum(axis=-1), flat[chunk].sum(axis=-2)
+        plan[chunk], trace[:, chunk], row[chunk], col[chunk] = _solve_chunk(
+            flat[chunk], params, kind)
 
     with np.errstate(all="ignore"):
         _for_chunks(flat, run)
+    return plan.reshape(x.shape), trace.reshape((params.k_iters,) + x.shape[:-2]), row, col
+
+
+def _solve_core(x: np.ndarray, params: UotParams, kind: SolverKind) -> tuple:
+    """The plan and trace of :func:`_solve_with_sums`. Only the benchmark's
+    batch adapter calls it; it goes when that adapter calls :func:`uot_pool`."""
+    return _solve_with_sums(x, params, kind)[:2]
+
+
+def _diagnostics(plan, trace, row, col, params: UotParams) -> SolverDiagnostics:
+    """From the final plan's row and column sums. Plan entries are ``exp`` values,
+    in [0, inf] or NaN: if every row sum is finite, so is every entry."""
+    with np.errstate(all="ignore"):
         finite = np.isfinite(trace).all() and (np.isfinite(row).all() or np.isfinite(plan).all())
         return SolverDiagnostics(
             has_nan=not finite,
@@ -755,13 +760,14 @@ def solve(
     and the marginal gaps are sums. Numerical failure never raises. The
     trace is evaluated after the last module from each module's plan sums;
     items with a non-finite entry are solved again alone, and those entries
-    evaluated directly. A batch over the chunk budget (1 MiB per full-size
-    array, 2 items at 100 x 500) runs, and has its diagnostics summed, in
-    chunks of items on up to ``os.cpu_count()`` threads; a single matrix runs
-    on the calling thread. Results do not depend on the thread count.
+    evaluated directly. The marginal gaps come from the last module's plan
+    sums. A batch over the chunk budget (1 MiB per full-size array, 2 items
+    at 100 x 500) runs in chunks of items on up to ``os.cpu_count()``
+    threads; a single matrix runs on the calling thread. Results do not
+    depend on the thread count.
     """
-    plan, trace = _solve_core(_checked_input(x, params, kind), params, kind)
-    return plan, _diagnostics(plan, trace, params)
+    plan, trace, row, col = _solve_with_sums(_checked_input(x, params, kind), params, kind)
+    return plan, _diagnostics(plan, trace, row, col, params)
 
 
 def solve_vjp(

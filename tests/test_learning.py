@@ -145,6 +145,35 @@ class TestFdGradient:
             fd_gradient(lambda s: float("inf"), zero_state(1))
 
 
+def per_bag_task_data(task):
+    """``generate_task_data`` as a loop that rewrites one bag at a time."""
+    rng = np.random.default_rng(task.seed)
+    b, d, n = task.n_bags, task.dim, task.bag_size
+    j, tau = task.rule.feature, float(task.rule.threshold)
+    x = rng.uniform(0.0, 1.0, (b, d, n))
+    y = np.where(np.arange(b) % 2 == 0, 1.0, -1.0)
+    if isinstance(task.rule, MaxThreshold):
+        pos_low = tau + 0.5 * (1.0 - tau)
+        neg_cap = 2.0 * tau / 3.0
+        for i in range(b):
+            if y[i] > 0:
+                hit = rng.integers(n)
+                x[i, j, hit] = rng.uniform(pos_low, 1.0)
+                over = x[i, j, :] >= tau
+                over[hit] = False
+                x[i, j, over] = rng.uniform(0.0, tau, over.sum())
+            else:
+                over = x[i, j, :] >= neg_cap
+                x[i, j, over] = rng.uniform(0.0, neg_cap, over.sum())
+    else:
+        for i in range(b):
+            if y[i] > 0:
+                x[i, j, :] = tau + (1.0 - tau) * rng.uniform(0.1, 1.0, n)
+            else:
+                x[i, j, :] = tau * rng.uniform(0.0, 0.9, n)
+    return x, y
+
+
 class TestSyntheticTasks:
     def test_max_rule_labels_hold_by_construction(self):
         task = SyntheticTask(n_bags=30, bag_size=8, dim=5,
@@ -179,6 +208,17 @@ class TestSyntheticTasks:
         x2, y2 = generate_task_data(task)
         np.testing.assert_array_equal(x1, x2)
         np.testing.assert_array_equal(y1, y2)
+
+    @pytest.mark.parametrize("rule", [MaxThreshold, MeanThreshold])
+    def test_bitwise_equal_to_per_bag_loop(self, rule):
+        for seed in range(12):
+            for n_bags in (0, 1, 7, 60):
+                for bag_size in (1, 13):
+                    for dim, feature in ((1, 0), (4, 0), (4, 3)):
+                        task = SyntheticTask(n_bags, bag_size, dim, rule(feature), seed)
+                        x, y = generate_task_data(task)
+                        x_loop, y_loop = per_bag_task_data(task)
+                        assert np.array_equal(x, x_loop) and np.array_equal(y, y_loop)
 
     def test_rejects_bad_rule_settings(self):
         with pytest.raises(ValueError):

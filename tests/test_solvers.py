@@ -11,13 +11,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uotpool import (
+    MaxThreshold,
+    NonFiniteLossError,
     Regularizer,
     SolverKind,
+    SyntheticTask,
+    UotBadmmPooling,
     UotParams,
+    UotSinkhornPooling,
     badmm_auxiliary_update,
     badmm_dual_update,
     badmm_init,
     badmm_primal_update,
+    hierarchical_uot_pool,
     max_config,
     max_pool,
     mean_config,
@@ -26,7 +32,9 @@ from uotpool import (
     sinkhorn_step,
     solve,
     solve_vjp,
+    train_synthetic,
     uot_objective,
+    uot_pool,
 )
 from uotpool import DegenerateRowError, pooling, solvers
 from uotpool.pooling import attention_config
@@ -493,6 +501,9 @@ class TestSolve:
         assert diag.total_mass == pytest.approx(sum(d.total_mass for _, d in singles))
         assert diag.marginal_gap_row == pytest.approx(
             sum(d.marginal_gap_row for _, d in singles))
+        for p, d in [(plan, diag), *singles]:  # the gaps are the returned plan's
+            assert d.marginal_gap_row == np.abs(p.sum(axis=-1) - params.p0).sum()
+            assert d.marginal_gap_col == np.abs(p.sum(axis=-2) - params.q0).sum()
 
     @pytest.mark.parametrize("kind", list(SolverKind))
     def test_has_nan_is_or_over_items(self, kind):
@@ -689,7 +700,7 @@ class TestChunkedSolve:
                                       wraps=pooling.row_conditional) as rows:
                 chunked_plan, chunked = solve(x, params, kind)
                 chunked_pooled = pool_with_plan(x, chunked_plan)
-            assert pool.call_count == 2  # the solve, then the diagnostics
+            assert pool.call_count == 1  # the diagnostics reuse the solve's sums
             assert rows.call_count == 6
             np.testing.assert_array_equal(chunked_plan, plan)
             np.testing.assert_array_equal(chunked_pooled, pooled)
@@ -707,16 +718,21 @@ class TestChunkedSolve:
         params = UotParams.uniform(2, 3, k_iters=1)
         trace = np.zeros((1, 3))
         plan = np.full((3, 2, 3), 0.1)
-        with mock.patch.object(solvers, "_CHUNK_BYTES", 1):
-            assert not solvers._diagnostics(plan, trace, params).has_nan
-            plan[2, 1, 0] = np.inf
-            assert solvers._diagnostics(plan, trace, params).has_nan
-            plan[2, 1, 0] = 1.5e308
-            plan[2, 1, 1] = 1.5e308
-            diag = solvers._diagnostics(plan, trace, params)
-            assert not diag.has_nan and diag.total_mass == np.inf
-            plan[1, 0, 2] = np.nan
-            assert solvers._diagnostics(plan, trace, params).has_nan
+
+        def diagnostics():
+            with np.errstate(over="ignore"):
+                sums = plan.sum(axis=-1), plan.sum(axis=-2)
+            return solvers._diagnostics(plan, trace, *sums, params)
+
+        assert not diagnostics().has_nan
+        plan[2, 1, 0] = np.inf
+        assert diagnostics().has_nan
+        plan[2, 1, 0] = 1.5e308
+        plan[2, 1, 1] = 1.5e308
+        diag = diagnostics()
+        assert not diag.has_nan and diag.total_mass == np.inf
+        plan[1, 0, 2] = np.nan
+        assert diagnostics().has_nan
 
     def test_zero_plan_row_in_a_later_item_names_it(self):
         x = np.ones((2, 3, 4, 5))
@@ -727,6 +743,36 @@ class TestChunkedSolve:
                     pytest.raises(DegenerateRowError, match="row 3 of item 5 ") as info:
                 pool_with_plan(x, plan)
             assert (info.value.row, info.value.item) == (3, 5)
+
+
+class TestCallerErrstate:
+    def test_public_calls_raise_no_floating_point_error(self):
+        # Over the ``uotpool stability`` grid, under a caller's
+        # np.errstate(all="raise"): numerical failure shows in the outputs and
+        # diagnostics, or as training's NonFiniteLossError, never as a
+        # FloatingPointError.
+        x = random_input(0)
+        xs = np.stack([random_input(i) for i in range(3)])
+        task = SyntheticTask(n_bags=6, bag_size=10, dim=5, rule=MaxThreshold(feature=2), seed=3)
+        decades = [10.0 ** e for e in range(-5, 5)]
+        with np.errstate(all="raise"):
+            for kind, reg in SOLVER_CONFIGS:
+                spec = UotSinkhornPooling if kind is SolverKind.SINKHORN else UotBadmmPooling
+                for a0 in decades:
+                    for a12 in decades:
+                        params = UotParams.uniform(5, 10, k_iters=4, alpha0=a0, alpha1=a12,
+                                                   alpha2=a12, reg=reg)
+                        solve(x, params, kind)
+                        uot_pool(x, params, kind)
+                        with mock.patch.object(solvers, "_CHUNK_BYTES", 1):
+                            uot_pool(xs, params, kind)
+                        plan, pullback = solve_vjp(x, params, kind)
+                        pullback(np.ones_like(plan))
+                        try:
+                            train_synthetic(task, spec(params), epochs=1)
+                        except NonFiniteLossError:
+                            pass
+                hierarchical_uot_pool(x, 0.3, kind)
 
 
 class TestBufferReuse:
@@ -795,6 +841,8 @@ class TestSolveVjp:
         p0, q0 = rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(n))
         x = rng.uniform(-3.0, 3.0, tuple(batch) + (d, n))
         plan_bar = rng.standard_normal(x.shape)
+        if seed % 2:  # alpha0 in runs of two modules, which share a scaled cost
+            weights[0] = np.repeat(weights[0, ::2], 2)[:k]
 
         def objective(w):
             return float((plan_bar * solve(x, UotParams(k, *w, p0, q0, reg), kind)[0]).sum())

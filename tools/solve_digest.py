@@ -13,7 +13,10 @@ covers, in a fixed order:
   budget and again with one item per chunk, plus its ``solve_vjp`` plan and
   weight gradient;
 * the 50 x 100 x 500 bench batch at K = 4 and 8 for each solver config
-  (``--quick`` skips it).
+  (``--quick`` skips it);
+* ``generate_task_data`` bags and labels for both rules over several seeds,
+  bag counts, bag sizes and rule features, and a 3-epoch ``train_synthetic``
+  loss trace on the ``uotpool train`` task for each solver config.
 
 For every solve it hashes the plan, every ``SolverDiagnostics`` field and the
 ``pool_with_plan`` rows, or the row and item a ``DegenerateRowError`` names.
@@ -34,13 +37,20 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from uotpool import (  # noqa: E402
     DegenerateRowError,
+    MaxThreshold,
+    MeanThreshold,
     Regularizer,
     SolverKind,
+    SyntheticTask,
+    UotBadmmPooling,
     UotParams,
+    UotSinkhornPooling,
+    generate_task_data,
     pool_with_plan,
     solve,
     solve_vjp,
     solvers,
+    train_synthetic,
 )
 
 CONFIGS = (
@@ -112,6 +122,21 @@ def bench_batch(dig: Digest) -> None:
             dig.solve(x, UotParams.uniform(100, 500, k_iters=k, alpha0=0.1, reg=reg), kind)
 
 
+def training(dig: Digest) -> None:
+    for seed in range(20):
+        for rule in (MaxThreshold, MeanThreshold):
+            for n_bags, bag_size, dim in ((1, 1, 1), (7, 13, 4), (200, 16, 8)):
+                for feature in (0, dim - 1):
+                    x, y = generate_task_data(SyntheticTask(n_bags, bag_size, dim, rule(feature), seed))
+                    dig.array(x)
+                    dig.array(y)
+    task = SyntheticTask(200, 16, 8, MaxThreshold(feature=3, threshold=0.9), seed=0)
+    for kind, reg in CONFIGS:
+        pooling = UotSinkhornPooling if kind is SolverKind.SINKHORN else UotBadmmPooling
+        dig.array(train_synthetic(task, pooling(UotParams.uniform(8, 16, k_iters=4, reg=reg)),
+                                  epochs=3))
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="skip the bench batch")
@@ -121,6 +146,7 @@ def main() -> None:
     random_solves(dig)
     if not args.quick:
         bench_batch(dig)
+    training(dig)
     print(f"{dig.h.hexdigest()}  {dig.count} solves")
 
 
