@@ -1,8 +1,11 @@
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -775,6 +778,54 @@ class TestCallerErrstate:
                 hierarchical_uot_pool(x, 0.3, kind)
 
 
+class TestFeatureMajorLayout:
+    """Batches of many small items run feature-major with the same bits."""
+
+    @staticmethod
+    def outputs(x, params, kind, feature_major):
+        with mock.patch.object(solvers, "_feature_major", feature_major):
+            plan, diag = solve(x, params, kind)
+            vjp_plan, pullback = solve_vjp(x, params, kind)
+            grad = pullback(np.random.default_rng(0).standard_normal(x.shape))
+        return [plan, diag.objective_trace, diag.has_nan, diag.total_mass,
+                diag.marginal_gap_row, diag.marginal_gap_col, vjp_plan, grad]
+
+    # Weights in [0.05, 5] per module, or the stability grid's decades,
+    # where the Sinkhorn scheme overflows in some corners. Every layout the
+    # rule may pick is drawn: with one sample per item it never picks
+    # feature-major, so that is left out of the forced run.
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(SOLVER_CONFIGS),
+        st.integers(1, 5),
+        st.integers(1, 300),
+        st.integers(1, 12),
+        st.integers(1, 20),
+        st.integers(0, 2**32 - 1),
+        st.none() | st.tuples(st.integers(-5, 4), st.integers(-5, 4)),
+    )
+    def test_outputs_match_natural_layout(self, config, k, items, d, n, seed, decades):
+        kind, reg = config
+        rng = np.random.default_rng(seed)
+        if decades is None:
+            weights = np.exp(rng.uniform(np.log(0.05), np.log(5.0), (4, k)))
+        else:
+            weights = np.array([10.0 ** decades[0]] + [10.0 ** decades[1]] * 2 + [1.0])
+        params = UotParams(k, *weights, rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(n)), reg)
+        x = rng.uniform(-3.0, 3.0, (items, d, n))
+        natural = self.outputs(x, params, kind, lambda x: False)
+        forced = self.outputs(x, params, kind, lambda x: x.ndim == 3 and x.shape[2] > 1)
+        for got, want in zip(forced, natural):
+            np.testing.assert_array_equal(got, want)
+
+    def test_rule(self):
+        assert solvers._feature_major(np.empty((200, 8, 16)))
+        assert solvers._feature_major(np.empty((268, 9, 2)))
+        assert not solvers._feature_major(np.empty((268, 9, 1)))  # a column is contiguous
+        assert not solvers._feature_major(np.empty((2, 100, 500)))  # the bench batch's chunk
+        assert not solvers._feature_major(np.empty((16, 8)))  # one matrix
+
+
 class TestBufferReuse:
     """The module generators allocate their full-size buffers once per chunk."""
 
@@ -806,13 +857,69 @@ class TestBufferReuse:
                 tracemalloc.stop()
         return count
 
+    @classmethod
+    def counts_at_depths_2_and_8(cls, shape, kind, reg):
+        x = np.random.default_rng(4).uniform(0.0, 1.0, shape)
+        return [cls.full_size_allocations(x, UotParams.uniform(*shape[1:], k_iters=k,
+                                                               alpha0=0.5, reg=reg), kind)
+                for k in (2, 8)]
+
     @pytest.mark.parametrize("kind,reg", SOLVER_CONFIGS)
     def test_deeper_solve_allocates_no_more_full_size_buffers(self, kind, reg):
-        x = np.random.default_rng(4).uniform(0.0, 1.0, (3, 100, 200))  # one chunk
-        counts = [self.full_size_allocations(x, UotParams.uniform(100, 200, k_iters=k,
-                                                                  alpha0=0.5, reg=reg), kind)
-                  for k in (2, 8)]
+        counts = self.counts_at_depths_2_and_8((3, 100, 200), kind, reg)  # one chunk
         assert counts[1] <= counts[0] <= 6
+
+    # One chunk. With fewer samples per item, such as 300 x 8 x 16, the
+    # (K, items, D) and (K, items, N) plan sums the solve keeps outweigh one
+    # full-size array at K = 8 in either layout.
+    @pytest.mark.parametrize("kind,reg", SOLVER_CONFIGS)
+    def test_feature_major_solve_allocates_no_more_full_size_buffers(self, kind, reg):
+        assert solvers._feature_major(np.empty((100, 40, 30)))
+        counts = self.counts_at_depths_2_and_8((100, 40, 30), kind, reg)
+        assert counts[1] <= counts[0] <= 6
+
+
+class TestBlasThreadCount:
+    """Gradients and training do not depend on the BLAS thread count.
+
+    BLAS dot products split long vectors over threads, and the split changes
+    the order of the sum; one subprocess per thread count hashes the bytes.
+    """
+
+    SCRIPT = """
+import hashlib
+import numpy as np
+from uotpool import (MaxThreshold, Regularizer, SolverKind, SyntheticTask, UotBadmmPooling,
+                     UotParams, UotSinkhornPooling, solve_vjp, train_synthetic)
+h = hashlib.sha256()
+for kind, reg in [(SolverKind.SINKHORN, Regularizer.ENTROPIC),
+                  (SolverKind.BADMM, Regularizer.ENTROPIC),
+                  (SolverKind.BADMM, Regularizer.QUADRATIC)]:
+    # 200 x 8 x 16 has 25,600 plan entries; 1000 x 8 x 16 has 16,000 items x N.
+    for shape in [(200, 8, 16), (1000, 8, 16)]:
+        rng = np.random.default_rng(shape[0])
+        x = rng.uniform(0.0, 1.0, shape)
+        _, pullback = solve_vjp(x, UotParams.uniform(8, 16, alpha0=0.3, reg=reg), kind)
+        h.update(pullback(rng.standard_normal(shape)).tobytes())
+    pooling = UotSinkhornPooling if kind is SolverKind.SINKHORN else UotBadmmPooling
+    for n_bags in (200, 2000):
+        task = SyntheticTask(n_bags, 16, 8, MaxThreshold(feature=3, threshold=0.9), seed=0)
+        h.update(train_synthetic(task, pooling(UotParams.uniform(8, 16, reg=reg)),
+                                 epochs=5).tobytes())
+print(h.hexdigest())
+"""
+
+    def test_gradients_and_training_traces_match_under_one_and_two_threads(self):
+        src = str(Path(solvers.__file__).resolve().parents[1])
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            runs.append(subprocess.Popen([sys.executable, "-c", self.SCRIPT], env=env,
+                                         stdout=subprocess.PIPE, text=True))
+        digests = [run.communicate(timeout=300)[0] for run in runs]
+        assert [run.returncode for run in runs] == [0, 0]
+        assert digests[0] == digests[1]
 
 
 class TestSolveVjp:

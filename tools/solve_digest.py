@@ -1,22 +1,30 @@
-"""Print one SHA-256 over the outputs of a fixed set of solves.
+"""Print one SHA-256 per section over the outputs of a fixed set of solves.
 
     python3 tools/solve_digest.py [--quick]
 
 Imports uotpool from the ``src/`` tree next to this script, so running it in
-two checkouts tells whether a change keeps every output bit. The digest
-covers, in a fixed order:
+two checkouts tells whether a change keeps every output bit, and a change
+meant to move one section shows the others unchanged. The sections, each
+in a fixed order:
 
-* the ``uotpool stability`` grid (5 x 10, weights over ten decades, where
-  the Sinkhorn scheme overflows in some corners), for each solver config;
-* 450 random solves: shapes, batch axes, priors and per-module weights in
-  [1e-5, 1e4] drawn from fixed seeds, each solved with the default chunk
-  budget and again with one item per chunk, plus its ``solve_vjp`` plan and
-  weight gradient;
-* the 50 x 100 x 500 bench batch at K = 4 and 8 for each solver config
-  (``--quick`` skips it);
-* ``generate_task_data`` bags and labels for both rules over several seeds,
-  bag counts, bag sizes and rule features, and a 3-epoch ``train_synthetic``
-  loss trace on the ``uotpool train`` task for each solver config.
+* ``stability``: the ``uotpool stability`` grid (5 x 10, weights over ten
+  decades, where the Sinkhorn scheme overflows in some corners), for each
+  solver config;
+* ``random``: 450 random solves: shapes, batch axes, priors and
+  per-module weights in [1e-5, 1e4] drawn from fixed seeds, each solved with
+  the default chunk budget and again with one item per chunk;
+* ``vjp_plans`` and ``vjp_gradients``: the ``solve_vjp`` plan and weight
+  gradient of each random solve; the gradients of the many-item batches
+  are hashed into ``vjp_gradients`` too;
+* ``many_items``: batches of many small items, which the solvers run
+  feature-major (and 268 x 9 x 1, which they do not), through ``solve`` and
+  ``solve_vjp`` for each config;
+* ``bench``: the 50 x 100 x 500 bench batch at K = 4 and 8 for each solver
+  config (``--quick`` skips it);
+* ``task_data``: ``generate_task_data`` bags and labels for both rules over
+  several seeds, bag counts, bag sizes and rule features;
+* ``training``: a 3-epoch ``train_synthetic`` loss trace on the ``uotpool
+  train`` task for each solver config.
 
 For every solve it hashes the plan, every ``SolverDiagnostics`` field and the
 ``pool_with_plan`` rows, or the row and item a ``DegenerateRowError`` names.
@@ -60,36 +68,50 @@ CONFIGS = (
 )
 
 
+SECTIONS = ("stability", "random", "vjp_plans", "vjp_gradients", "many_items", "bench",
+            "task_data", "training")
+
+
 class Digest:
     def __init__(self):
-        self.h = hashlib.sha256()
+        self.hashes = {section: hashlib.sha256() for section in SECTIONS}
+        self.section = SECTIONS[0]
         self.count = 0
 
-    def array(self, a) -> None:
+    def start(self, section: str) -> None:
+        self.section = section
+
+    def update(self, data: bytes, section: str | None = None) -> None:
+        self.hashes[section or self.section].update(data)
+
+    def array(self, a, section: str | None = None) -> None:
         a = np.ascontiguousarray(a, dtype=np.float64)
-        self.h.update(repr(a.shape).encode())
-        self.h.update(a.tobytes())
+        self.update(repr(a.shape).encode(), section)
+        self.update(a.tobytes(), section)
 
     def solve(self, x, params, kind) -> None:
         plan, diag = solve(x, params, kind)
         self.array(plan)
         self.array(diag.objective_trace)
-        self.h.update(struct.pack("<?ddd", diag.has_nan, diag.total_mass,
-                                  diag.marginal_gap_row, diag.marginal_gap_col))
+        self.update(struct.pack("<?ddd", diag.has_nan, diag.total_mass,
+                                diag.marginal_gap_row, diag.marginal_gap_col))
         try:
             self.array(pool_with_plan(x, plan))
         except DegenerateRowError as err:
             # The parent's error has no item; hash what both name.
-            self.h.update(f"degenerate row {err.row}".encode())
+            self.update(f"degenerate row {err.row}".encode())
         self.count += 1
 
     def vjp(self, x, params, kind, rng) -> None:
+        """The plan into the current section, the gradient into ``vjp_gradients``."""
         plan, pullback = solve_vjp(x, params, kind)
         self.array(plan)
-        self.array(pullback(rng.standard_normal(x.shape)))
+        self.array(pullback(rng.standard_normal(x.shape)), "vjp_gradients")
+        self.count += 1
 
 
 def stability_grid(dig: Digest) -> None:
+    dig.start("stability")
     x = np.random.default_rng(0).uniform(0.0, 1.0, (5, 10))
     decades = [10.0 ** e for e in range(-5, 5)]
     for kind, reg in CONFIGS:
@@ -109,13 +131,30 @@ def random_solves(dig: Digest, cases: int = 450) -> None:
         weights = np.exp(rng.uniform(np.log(1e-5), np.log(1e4), (4, k)))
         params = UotParams(k, *weights, rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(n)), reg)
         x = rng.uniform(-3.0, 3.0, batch + (d, n))
+        dig.start("random")
         dig.solve(x, params, kind)
         with mock.patch.object(solvers, "_CHUNK_BYTES", 1):
             dig.solve(x, params, kind)
+        dig.start("vjp_plans")
         dig.vjp(x, params, kind, rng)
 
 
+def many_items(dig: Digest) -> None:
+    dig.start("many_items")
+    for j, shape in enumerate(((200, 8, 16), (268, 9, 1), (64, 16, 16), (1000, 8, 16))):
+        for kind, reg in CONFIGS:
+            rng = np.random.default_rng(20_000 + j)
+            d, n = shape[1:]
+            weights = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), (4, 4)))
+            p0, q0 = rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(n))
+            params = UotParams(4, *weights, p0, q0, reg)
+            x = rng.uniform(0.0, 1.0, shape)
+            dig.solve(x, params, kind)
+            dig.vjp(x, params, kind, rng)
+
+
 def bench_batch(dig: Digest) -> None:
+    dig.start("bench")
     x = np.random.default_rng(0).uniform(0.0, 1.0, (50, 100, 500))
     for kind, reg in CONFIGS:
         for k in (4, 8):
@@ -123,6 +162,7 @@ def bench_batch(dig: Digest) -> None:
 
 
 def training(dig: Digest) -> None:
+    dig.start("task_data")
     for seed in range(20):
         for rule in (MaxThreshold, MeanThreshold):
             for n_bags, bag_size, dim in ((1, 1, 1), (7, 13, 4), (200, 16, 8)):
@@ -130,6 +170,7 @@ def training(dig: Digest) -> None:
                     x, y = generate_task_data(SyntheticTask(n_bags, bag_size, dim, rule(feature), seed))
                     dig.array(x)
                     dig.array(y)
+    dig.start("training")
     task = SyntheticTask(200, 16, 8, MaxThreshold(feature=3, threshold=0.9), seed=0)
     for kind, reg in CONFIGS:
         pooling = UotSinkhornPooling if kind is SolverKind.SINKHORN else UotBadmmPooling
@@ -144,10 +185,15 @@ def main() -> None:
     dig = Digest()
     stability_grid(dig)
     random_solves(dig)
+    many_items(dig)
     if not args.quick:
         bench_batch(dig)
     training(dig)
-    print(f"{dig.h.hexdigest()}  {dig.count} solves")
+    if args.quick:
+        del dig.hashes["bench"]
+    for section, h in dig.hashes.items():
+        print(f"{section:14s} {h.hexdigest()}")
+    print(f"{dig.count} solves")
 
 
 if __name__ == "__main__":
