@@ -225,22 +225,31 @@ _STABILITY_CONFIGS = (
 
 def cmd_stability(config: ExperimentConfig) -> list[str]:
     """Sweep alpha0 against tied alpha1 = alpha2 over decades and record,
-    per solver configuration, whether the plan stayed finite and its mass."""
+    per solver configuration, whether the plan stayed finite and its mass.
+
+    Each configuration's grid is one batched solve of the input repeated
+    once per cell, with per-item weights; each cell's plan and trace are
+    bitwise those of a solve of that cell alone."""
     seed = config.resolve_seed("stability")
     rng = np.random.default_rng(seed)
     d, n = config.dims
     x = rng.uniform(0.0, 1.0, (d, n))
+    grid = np.asarray(config.weight_grid, dtype=np.float64)
+    a0, a12 = np.repeat(grid, len(grid)), np.tile(grid, len(grid))
+    cells = np.repeat(x[None], len(a0), axis=0)
+    per_cell = (config.k_iters, len(a0))
 
     rows: list[list] = []
     for name, kind, reg in _STABILITY_CONFIGS:
-        for a0 in config.weight_grid:
-            for a12 in config.weight_grid:
-                params = UotParams.uniform(
-                    d, n, k_iters=config.k_iters,
-                    alpha0=a0, alpha1=a12, alpha2=a12, rho=config.rho, reg=reg,
-                )
-                _, diag = solve(x, params, kind)
-                rows.append([name, a0, a12, diag.has_nan, diag.total_mass])
+        params = UotParams.uniform(
+            d, n, k_iters=config.k_iters, alpha0=np.broadcast_to(a0, per_cell),
+            alpha1=np.broadcast_to(a12, per_cell), alpha2=np.broadcast_to(a12, per_cell),
+            rho=config.rho, reg=reg,
+        )
+        plan, diag = solve(cells, params, kind)
+        flat = plan.reshape(len(a0), -1)
+        finite = np.isfinite(diag.objective_trace).all(axis=0) & np.isfinite(flat).all(axis=1)
+        rows += [[name, *cell] for cell in zip(a0, a12, ~finite, flat.sum(axis=1))]
 
     return _write_outputs(config, "stability", seed, {
         "stability.csv": (["solver", "alpha0", "alpha12", "has_nan", "total_mass"], rows),
@@ -279,8 +288,15 @@ def cmd_bench(config: ExperimentConfig) -> list[str]:
     """Time each pooling operator on one batch of random inputs.
 
     Reference operators run once per trial; transport pooling runs once
-    per trial for each configured iteration count. Timings use the
-    monotonic performance counter and are reported in milliseconds.
+    per trial for each configured iteration count. Every operator's
+    warm-up calls run first. Then ``trials`` rounds each time every
+    transport operator once, in a fixed order, so all depths' timings span
+    the same stretch of time and a slow spell of the machine cannot land on
+    one depth only; ``trials`` rounds of the reference operators follow.
+    They are kept apart because attention pooling's matrix product can
+    leave BLAS worker threads spinning for a while after it returns, which
+    would slow whichever solve came next. Timings use the monotonic
+    performance counter and are reported in milliseconds.
     """
     seed = config.resolve_seed("bench")
     rng = np.random.default_rng(seed)
@@ -300,31 +316,33 @@ def cmd_bench(config: ExperimentConfig) -> list[str]:
 
         return lambda: uot_pool(x, params, kind)
 
-    jobs: list[tuple[str, int, object]] = [
+    reference: list[tuple[str, int, object]] = [
         ("mean", 0, lambda: mean_pool(x)),
         ("max", 0, lambda: max_pool(x)),
         ("attention", 0, lambda: attention_pool(x, att)),
         ("mixed", 0, lambda: mixed_pool(x, 0.5)),
     ]
-    for k in config.bench_k:
-        jobs.append(("uot_sinkhorn", k, run_uot(SolverKind.SINKHORN, k)))
-        jobs.append(("uot_badmm", k, run_uot(SolverKind.BADMM, k)))
+    transport = [(method, k, run_uot(kind, k)) for k in config.bench_k for method, kind in
+                 (("uot_sinkhorn", SolverKind.SINKHORN), ("uot_badmm", SolverKind.BADMM))]
+    jobs = reference + transport
 
-    rows: list[list] = []
-    for method, k, body in jobs:
+    for _, _, body in jobs:
         for _ in range(config.warmup):
             body()
-        times_ms = []
+    times_ms: list[list[float]] = [[] for _ in jobs]
+    for group, group_times in ((transport, times_ms[len(reference):]),
+                               (reference, times_ms[:len(reference)])):
         for _ in range(config.trials):
-            start = time.perf_counter()
-            body()
-            times_ms.append((time.perf_counter() - start) * 1e3)
-        rows.append([
-            method, k,
-            statistics.fmean(times_ms),
-            statistics.stdev(times_ms) if len(times_ms) > 1 else 0.0,
-            statistics.median(times_ms),
-        ])
+            for (_, _, body), times in zip(group, group_times):
+                start = time.perf_counter()
+                body()
+                times.append((time.perf_counter() - start) * 1e3)
+    rows = [[
+        method, k,
+        statistics.fmean(times),
+        statistics.stdev(times) if len(times) > 1 else 0.0,
+        statistics.median(times),
+    ] for (method, k, _), times in zip(jobs, times_ms)]
 
     return _write_outputs(
         config, "bench", seed,

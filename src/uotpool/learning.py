@@ -235,7 +235,8 @@ def train_synthetic(
     so a step costs one forward and one backward pass through the
     unrolled solve. Returns the loss trace of length ``epochs + 1``,
     starting with the initial loss; raises :class:`NonFiniteLossError` if
-    the loss or its gradient leaves the finite range.
+    the loss or its gradient leaves the finite range. The pooling's weights
+    must be shared ``(k_iters,)`` vectors, not per-item ones.
     """
     if not isinstance(spec, (UotSinkhornPooling, UotBadmmPooling)):
         raise TypeError("training requires a transport pooling specification")
@@ -244,6 +245,9 @@ def train_synthetic(
     if not np.isfinite(lr):
         raise ValueError(f"lr must be finite, got {lr!r}")
     base = spec.params
+    if base.alpha0.ndim > 1:
+        raise ValueError(f"training needs weights of shape ({base.k_iters},) shared by all bags, "
+                         f"got per-item weights of shape {base.alpha0.shape}")
     d, n = task.dim, task.bag_size
     if base.p0.shape[0] != d or base.q0.shape[0] != n:
         raise ValueError(

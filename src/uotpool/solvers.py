@@ -81,11 +81,16 @@ class SolverKind(Enum):
 class UotParams:
     """Parameter bundle for one unrolled solve.
 
-    ``alpha0``, ``alpha1``, ``alpha2`` and ``rho`` are per-module weight
-    vectors of length ``k_iters`` (``rho`` is only consumed by the BADMM
-    scheme). ``p0`` and ``q0`` are probability vectors over the feature and
-    sample axes respectively; their lengths fix the (D, N) shape the solve
-    expects.
+    ``alpha0``, ``alpha1``, ``alpha2`` and ``rho`` are per-module weights
+    (``rho`` is only consumed by the BADMM scheme), each of shape
+    ``(k_iters,)``, shared by every batch item, or ``(k_iters, *batch)``,
+    one column per item of a batch of shape ``batch``. A scalar becomes a
+    ``(k_iters,)`` vector; if any weight is per item, all per-item weights
+    must have the same shape and the ``(k_iters,)`` ones are broadcast to it.
+    Every entry must be finite and positive. The weights are kept as
+    read-only copies. ``p0`` and ``q0`` are probability vectors over the
+    feature and sample axes respectively; their lengths fix the (D, N)
+    shape the solve expects.
     """
 
     k_iters: int
@@ -104,14 +109,25 @@ class UotParams:
             raise ValueError(f"k_iters must be a positive integer, got {k!r}")
         k = int(k)
         object.__setattr__(self, "k_iters", k)
+        weights = {}
         for name in ("alpha0", "alpha1", "alpha2", "rho"):
-            w = np.asarray(getattr(self, name), dtype=np.float64)
+            w = np.array(getattr(self, name), dtype=np.float64)
             if w.ndim == 0:
                 w = np.full(k, float(w))
-            if w.shape != (k,):
-                raise ValueError(f"{name} must be scalar or length {k}, got shape {w.shape}")
-            if not np.all(np.isfinite(w)) or np.any(w <= 0):
+            if w.shape[:1] != (k,):
+                raise ValueError(f"{name} must be a scalar or have shape ({k},) or ({k}, *batch), "
+                                 f"got shape {w.shape}")
+            if not np.isfinite(w).all() or (w <= 0).any():
                 raise ValueError(f"{name} entries must be finite and strictly positive")
+            weights[name] = w
+        shapes = {w.shape for w in weights.values() if w.ndim > 1}
+        if len(shapes) > 1:
+            raise ValueError(f"weights must all have shape ({k},) or one shared ({k}, *batch), "
+                             f"got shapes {sorted(shapes)}")
+        for name, w in weights.items():
+            if shapes and w.ndim == 1:
+                shape, = shapes
+                w = np.broadcast_to(w.reshape((k,) + (1,) * (len(shape) - 1)), shape).copy()
             w.flags.writeable = False
             object.__setattr__(self, name, w)
         for name in ("p0", "q0"):
@@ -448,17 +464,33 @@ def _feature_major(x: np.ndarray) -> bool:
 def _layout(x: np.ndarray, log_p0: np.ndarray) -> tuple:
     """The input the module generators run on, its column axis, the index
     that broadcasts a column dual against it, ``log p0`` shaped against a
-    row dual, and the map from their arrays to natural-layout views.
-    Elementwise ops and row reductions give the same bits in either layout,
-    and numpy sums a strided column in order, as the leading-axis sum does."""
+    row dual, the map from their arrays to natural-layout views, and the
+    index that broadcasts an ``(items,)`` weight against a full-size array
+    (without its last axis, against a row dual). Elementwise ops and row
+    reductions give the same bits in either layout, and numpy sums a
+    strided column in order, as the leading-axis sum does."""
     if _feature_major(x):
-        return x.transpose(1, 0, 2), 0, (None,), log_p0[:, None], lambda m: m.swapaxes(0, 1)
-    return x, -2, (..., None, slice(None)), log_p0, lambda m: m
+        return (x.transpose(1, 0, 2), 0, (None,), log_p0[:, None], lambda m: m.swapaxes(0, 1),
+                (None, slice(None), None))
+    return x, -2, (..., None, slice(None)), log_p0, lambda m: m, (slice(None), None, None)
+
+
+def _modules(w: tuple):
+    """Each module's ``(alpha0, alpha1, alpha2, rho)`` from the weights
+    ``w``: Python floats for shared ``(K,)`` weights, ``(items,)`` arrays
+    for per-item ``(K, items)`` ones."""
+    return zip(*w) if w[0].ndim == 2 else zip(*(v.tolist() for v in w))
+
+
+def _take(w: tuple, items) -> tuple:
+    """The weights of the batch items ``items`` (a slice or a mask)."""
+    return tuple(v[:, items] for v in w) if w[0].ndim == 2 else w
 
 
 def _sinkhorn_plans(
     x: np.ndarray,
-    params: UotParams,
+    w: tuple,
+    reg: Regularizer,
     log_p0: np.ndarray,
     log_q0: np.ndarray,
     tape: list | None = None,
@@ -469,33 +501,41 @@ def _sinkhorn_plans(
     With the scaled cost ``C = x / alpha0 + log p0 (+) log q0``, the identity
     ``lse_rows(C + a + b) = a + lse_rows(C + b)`` makes each module two
     reductions; the plan is ``exp((C + a) + b)``, built on the column
-    reduction's input. ``C`` is rebuilt only when ``alpha0`` changes; each
-    module reuses the yielded plan's buffer. A module reads only the column
+    reduction's input. ``C`` is rebuilt only when some item's ``alpha0``
+    changes; each module reuses the yielded plan's buffer. The weights ``w``
+    are ``(alpha0, alpha1, alpha2, rho)``, each ``(K,)`` or ``(K, items)``
+    with one column per item of ``x``. A module reads only the column
     dual ``b`` of the one before; ``tape`` records it with the module's two
     reduction results ``u_row`` and ``u_col``, in C-ordered natural layout.
     """
-    xl, ax, col, lp0, natural = _layout(x, log_p0)
+    xl, ax, col, lp0, natural, item = _layout(x, log_p0)
+    per_item, prev = w[0].ndim == 2, None
     b = np.zeros(x.shape[:-2] + x.shape[-1:])
     c, plan, tmp = np.empty(xl.shape), np.empty(xl.shape), np.empty(xl.shape)
-    for k in range(params.k_iters):
-        a0, a1, a2 = float(params.alpha0[k]), float(params.alpha1[k]), float(params.alpha2[k])
-        if k == 0 or a0 != params.alpha0[k - 1]:
+    for a0, a1, a2, _ in _modules(w):
+        g1, g2 = a1 / (a0 + a1), a2 / (a0 + a2)
+        fresh = prev is None or (np.any(a0 != prev) if per_item else a0 != prev)
+        prev = a0
+        if per_item:
+            a0, g1, g2 = a0[item], g1[item[:-1]], g2[:, None]
+        if fresh:
             np.divide(xl, a0, out=c)
             c += lp0[..., None]
             c += log_q0
         u_row = lp0 - _lse(np.add(c, b[col], out=plan), -1, plan)
-        a = a1 / (a0 + a1) * u_row
+        a = g1 * u_row
         u_col = log_q0 - _lse(np.add(c, a[..., None], out=plan), ax, tmp)
         if tape is not None:
             tape.append((b, np.ascontiguousarray(natural(u_row)), u_col))
-        b = a2 / (a0 + a2) * u_col
+        b = g2 * u_col
         plan += b[col]
         yield natural(np.exp(plan, out=plan)), (natural(a), b)
 
 
 def _badmm_plans(
     x: np.ndarray,
-    params: UotParams,
+    w: tuple,
+    reg: Regularizer,
     log_p0: np.ndarray,
     log_q0: np.ndarray,
     tape: list | None = None,
@@ -510,17 +550,19 @@ def _badmm_plans(
     ``log_s`` and ``z`` are carried, copied into ``tape`` in natural layout
     as each module starts. Each update keeps the step functions' operation
     order in buffers that every module reuses; a module overwrites all three
-    yielded arrays.
+    yielded arrays. The weights ``w`` are as for :func:`_sinkhorn_plans`.
     """
-    quadratic = params.reg is Regularizer.QUADRATIC
-    xl, ax, col, lp0, natural = _layout(x, log_p0)
+    quadratic = reg is Regularizer.QUADRATIC
+    xl, ax, col, lp0, natural, item = _layout(x, log_p0)
+    per_item = w[0].ndim == 2
     log_s = np.broadcast_to(lp0[..., None] + log_q0, xl.shape).copy()
     z = np.zeros(xl.shape)
     log_p, plan, tmp = np.empty(xl.shape), np.empty(xl.shape), np.empty(xl.shape)
-    for k in range(params.k_iters):
+    for a0, _, _, rho in _modules(w):
         if tape is not None:
             tape.append((natural(log_s).copy(), natural(z).copy()))
-        a0, rho = float(params.alpha0[k]), float(params.rho[k])
+        if per_item:
+            a0, rho = a0[item], rho[item]
         if quadratic:
             s = np.multiply(np.exp(log_s, out=tmp), a0, out=tmp)
             log_p = np.subtract(np.subtract(xl, s, out=log_p), z, out=log_p)
@@ -688,9 +730,10 @@ def _for_chunks(x: np.ndarray, run: Callable[[slice], None]) -> None:
         list(pool.map(task, starts))  # reading each result re-raises a worker's error
 
 
-def _solve_chunk(x: np.ndarray, params: UotParams, kind: SolverKind):
+def _solve_chunk(x: np.ndarray, params: UotParams, kind: SolverKind, w: tuple):
     """Final plan, objective trace and final row and column sums of one
-    chunk of batch items.
+    chunk of batch items, with the chunk's weights ``w`` (see
+    :func:`_sinkhorn_plans`).
 
     Each module writes its plan's row and column sums into ``(K, items, D)``
     and ``(K, items, N)`` arrays and keeps the scheme's record; after the
@@ -703,24 +746,26 @@ def _solve_chunk(x: np.ndarray, params: UotParams, kind: SolverKind):
     log_p0, log_q0 = np.log(params.p0), np.log(params.q0)
     row = np.empty((params.k_iters,) + x.shape[:-1])
     col = np.empty((params.k_iters,) + x.shape[:-2] + x.shape[-1:])
+    per_item = w[0].ndim == 2
+    record_a0 = w[0][..., None, None] if per_item else w[0].tolist()
     records = []
-    for k, (plan, state) in enumerate(modules(x, params, log_p0, log_q0)):
+    for k, (plan, state) in enumerate(modules(x, w, params.reg, log_p0, log_q0)):
         plan.sum(axis=-1, out=row[k])
         plan.sum(axis=-2, out=col[k])
-        records.append(record(x, plan, state, float(params.alpha0[k]), params.reg))
+        records.append(record(x, plan, state, record_a0[k], params.reg))
     parts = list(map(np.array, zip(*records)))
-    a0, a1, a2 = (w.reshape(w.shape + (1,) * (x.ndim - 2))
-                  for w in (params.alpha0, params.alpha1, params.alpha2))
+    a0, a1, a2 = (v.reshape(v.shape + (1,) * (x.ndim - 1 - v.ndim)) for v in w[:3])
     trace = (energy(parts, row, col, a0, log_p0, log_q0, params.reg)
              + a1 * _kl(row, params.p0, log_p0) + a2 * _kl(col, params.q0, log_q0))
     bad = ~np.isfinite(trace)
     if bad.any():  # items never share arithmetic: re-running a subset gives the same plans
         redo = bad.any(axis=0)
-        for k, (p, _) in enumerate(modules(x[redo], params, log_p0, log_q0)):
+        w = _take(w, redo)
+        for k, (p, _) in enumerate(modules(x[redo], w, params.reg, log_p0, log_q0)):
             hit = bad[k, ...][redo]
             if hit.any():
                 trace[k, ...][bad[k, ...]] = _objective_core(
-                    x[redo][hit], p[hit], *(float(w.flat[k]) for w in (a0, a1, a2)),
+                    x[redo][hit], p[hit], *(v[k, hit] if per_item else float(v[k]) for v in w[:3]),
                     params.p0, params.q0, params.reg)
     return plan, trace, row[-1], col[-1]
 
@@ -732,21 +777,24 @@ def _solve_with_sums(x: np.ndarray, params: UotParams, kind: SolverKind) -> tupl
     with shape ``(k_iters,) + batch_shape``, and the final plan's row and
     column sums per item. A batch runs as chunks of items of at most
     ``_CHUNK_BYTES`` (1 MiB) per full-size array, on up to
-    ``os.cpu_count()`` threads that each write their own slice of the result.
-    Items never share arithmetic, so the result does not depend on the
-    thread count.
+    ``os.cpu_count()`` threads that each write their own slice of the result,
+    each with its items' weights if they are per item. Items never share
+    arithmetic, so the result does not depend on the thread count.
     """
     x = np.asarray(x, dtype=np.float64)
+    w = params.alpha0, params.alpha1, params.alpha2, params.rho
     if x.ndim == 2:
         with np.errstate(all="ignore"):
-            return _solve_chunk(x, params, kind)
+            return _solve_chunk(x, params, kind, w)
     flat = x.reshape((-1,) + x.shape[-2:])
+    if w[0].ndim > 1:
+        w = tuple(v.reshape(len(v), -1) for v in w)
     plan, trace = np.empty(flat.shape), np.empty((params.k_iters, len(flat)))
     row, col = np.empty(flat.shape[:-1]), np.empty((len(flat), flat.shape[-1]))
 
     def run(chunk: slice) -> None:
         plan[chunk], trace[:, chunk], row[chunk], col[chunk] = _solve_chunk(
-            flat[chunk], params, kind)
+            flat[chunk], params, kind, _take(w, chunk))
 
     with np.errstate(all="ignore"):
         _for_chunks(flat, run)
@@ -781,7 +829,11 @@ def solve(
     """Solve one (D, N) matrix or a batch of shape (..., D, N) with ``kind``.
 
     The trailing shape must match the priors, and the Sinkhorn scheme needs
-    the entropic regularizer. Returns the plan, shaped like ``x``, and
+    the entropic regularizer. With per-item weights, of shape ``(k_iters,
+    *batch)``, ``batch`` must equal ``x.shape[:-2]``, and each item is solved
+    with its own column, bitwise as a solve of that item alone with
+    ``(k_iters,)`` weights would; with ``(k_iters,)`` weights every item
+    shares them. Returns the plan, shaped like ``x``, and
     diagnostics. For a batch, ``objective_trace`` has shape
     ``(k_iters,) + batch_shape`` and the other fields are totals over the
     items: ``has_nan`` is set if any item is non-finite, and ``total_mass``
@@ -808,7 +860,9 @@ def solve_vjp(
     """The plan of :func:`solve` and its pullback for the solver weights.
 
     Same input and checks as :func:`solve`, same modules, but no objective
-    trace or diagnostics; it records the small state each module reads.
+    trace or diagnostics; it records the small state each module reads. The
+    weights must be shared ``(k_iters,)`` vectors: per-item weights raise
+    ``ValueError``, since the gradient is summed over the items.
     ``pullback(plan_bar)`` returns the gradient of ``sum(plan_bar * plan)``
     with respect to ``alpha0 | alpha1 | alpha2 | rho`` as a ``(4, k_iters)``
     array, summed over batch items, by differentiating the unrolled modules
@@ -820,13 +874,17 @@ def solve_vjp(
     with numpy's own sums rather than BLAS, so gradients do not depend on
     the BLAS thread count either.
     """
+    if params.alpha0.ndim > 1:
+        raise ValueError("solve_vjp needs weights of shape (k_iters,) shared by all items, "
+                         f"got per-item weights of shape {params.alpha0.shape}")
     x = _checked_input(x, params, kind)
     flat = x.reshape((-1,) + x.shape[-2:]) if x.ndim > 2 else x
     modules, _, _, pullback = _SCHEMES[kind]
     log_p0, log_q0 = np.log(params.p0), np.log(params.q0)
+    w = params.alpha0, params.alpha1, params.alpha2, params.rho
     tape: list = []
     with np.errstate(all="ignore"):
-        for plan, _ in modules(flat, params, log_p0, log_q0, tape):
+        for plan, _ in modules(flat, w, params.reg, log_p0, log_q0, tape):
             pass
 
     def vjp(plan_bar: np.ndarray) -> np.ndarray:
@@ -848,5 +906,8 @@ def _checked_input(x: np.ndarray, params: UotParams, kind: SolverKind) -> np.nda
     d, n = params.p0.shape[0], params.q0.shape[0]
     if x.shape[-2:] != (d, n):
         raise ValueError(f"input shape {x.shape} does not match prior dimensions ({d}, {n})")
+    if params.alpha0.ndim > 1 and x.shape[:-2] != params.alpha0.shape[1:]:
+        raise ValueError(f"per-item weights of shape {params.alpha0.shape} need an input batch "
+                         f"shape {params.alpha0.shape[1:]}, got {x.shape[:-2]}")
     return x
 

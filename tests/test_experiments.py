@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import uotpool
-from uotpool import NonFiniteLossError
+from uotpool import NonFiniteLossError, UotParams, experiments, solve
 from uotpool.cli import main as cli_main
 from uotpool.experiments import (
     DEFAULT_SEEDS,
@@ -167,6 +167,41 @@ class TestStability:
         assert all(r["has_nan"] == "false" for r in rows)
         assert all(abs(float(r["total_mass"]) - 1.0) < 1e-9 for r in rows)
 
+    @staticmethod
+    def per_cell_stability(config):
+        """The sweep as one solve per cell, the way ``cmd_stability`` ran it
+        before it solved each configuration's grid as one batch."""
+        seed = config.resolve_seed("stability")
+        d, n = config.dims
+        x = np.random.default_rng(seed).uniform(0.0, 1.0, (d, n))
+        rows = []
+        for name, kind, reg in experiments._STABILITY_CONFIGS:
+            for a0 in config.weight_grid:
+                for a12 in config.weight_grid:
+                    params = UotParams.uniform(
+                        d, n, k_iters=config.k_iters,
+                        alpha0=a0, alpha1=a12, alpha2=a12, rho=config.rho, reg=reg,
+                    )
+                    _, diag = solve(x, params, kind)
+                    rows.append([name, a0, a12, diag.has_nan, diag.total_mass])
+        experiments._write_outputs(config, "stability", seed, {
+            "stability.csv": (["solver", "alpha0", "alpha12", "has_nan", "total_mass"], rows),
+        })
+
+    @pytest.mark.parametrize("kwargs", [
+        {"seed": 0}, {"seed": 1}, {"seed": 12345},
+        {"seed": 3, "dims": (4, 6), "k_iters": 3, "rho": 0.5,
+         "weight_grid": (3e-4, 0.02, 0.7, 1.0, 45.0, 2e3, 9e4)},
+    ])
+    def test_batched_sweep_writes_the_per_cell_bytes(self, tmp_path, kwargs):
+        batched, per_cell = tmp_path / "batched", tmp_path / "per_cell"
+        cmd_stability(ExperimentConfig(out=str(batched), **kwargs))
+        self.per_cell_stability(ExperimentConfig(out=str(per_cell), **kwargs))
+        assert (batched / "stability.csv").read_bytes() == \
+            (per_cell / "stability.csv").read_bytes()
+        if kwargs["seed"] == 0:  # the kernel scheme overflows in some cells of the default grid
+            assert "true" in {r["has_nan"] for r in read_rows(batched / "stability.csv")}
+
 
 class TestConvergence:
     def test_rows_cover_solvers_and_depths(self, convergence_outdir):
@@ -201,6 +236,21 @@ class TestBench:
             assert float(r["mean_ms"]) > 0
             assert float(r["median_ms"]) > 0
             assert float(r["std_ms"]) >= 0
+
+    def test_trials_run_in_rounds_after_all_warm_ups(self, tmp_path, monkeypatch):
+        # Transport rounds first, then the reference operators' rounds.
+        calls = []
+        for name in ("mean_pool", "max_pool", "mixed_pool"):
+            monkeypatch.setattr(experiments, name, lambda x, *a, name=name: calls.append(name))
+        monkeypatch.setattr(experiments, "attention_pool", lambda x, att: calls.append("att"))
+        monkeypatch.setattr(experiments, "uot_pool", lambda x, params, kind: calls.append(
+            f"{kind.value}{params.k_iters}"))
+        cmd_bench(ExperimentConfig(out=str(tmp_path), batch_dims=(6, 7), batch_size=2,
+                                   bench_k=(1, 2), trials=3, warmup=2))
+        jobs = ["mean_pool", "max_pool", "att", "mixed_pool",
+                "sinkhorn1", "badmm1", "sinkhorn2", "badmm2"]
+        assert calls == [job for job in jobs for _ in range(2)] + jobs[4:] * 3 + jobs[:4] * 3
+        assert len(read_rows(tmp_path / "bench.csv")) == len(jobs)
 
     def test_manifest_notes_scope(self, tmp_path):
         config = ExperimentConfig(out=str(tmp_path), batch_dims=(6, 7),

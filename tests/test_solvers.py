@@ -146,6 +146,43 @@ class TestUotParams:
         with pytest.raises(ValueError):
             UotParams.constant(np.array([1.5, -0.5]), np.array([0.5, 0.5]))
 
+    def test_per_item_weights_broadcast_shared_ones(self):
+        alpha0 = np.linspace(0.1, 2.0, 4 * 6).reshape(4, 2, 3)
+        p = UotParams.uniform(3, 4, alpha0=alpha0, alpha1=[1.0, 2.0, 3.0, 4.0], rho=0.5)
+        for w in (p.alpha0, p.alpha1, p.alpha2, p.rho):
+            assert w.shape == (4, 2, 3)
+            with pytest.raises(ValueError):
+                w[0, 0, 0] = 9.0
+        np.testing.assert_array_equal(p.alpha0, alpha0)
+        np.testing.assert_array_equal(p.alpha1[:, 1, 2], [1.0, 2.0, 3.0, 4.0])
+        np.testing.assert_array_equal(p.rho, 0.5)
+
+    def test_weights_are_copies(self):
+        # The caller's array used to be kept, and made read-only.
+        for alpha0 in (np.full(4, 0.5), np.full((4, 3), 0.5)):
+            p = UotParams.uniform(3, 4, alpha0=alpha0)
+            assert alpha0.flags.writeable and not np.shares_memory(p.alpha0, alpha0)
+            alpha0[0] = 9.0
+            np.testing.assert_array_equal(p.alpha0, 0.5)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"alpha0": np.ones(5)},  # (K + 1,)
+        {"rho": np.ones(7)},  # (items,)
+        {"alpha1": np.ones((3, 4))},  # (items, K)
+        {"alpha0": np.ones((4, 3)), "alpha2": np.ones((4, 4))},
+        {"alpha0": np.ones((4, 3)), "rho": np.ones((4, 1))},
+    ])
+    def test_shape_errors_name_both_weight_shapes(self, kwargs):
+        with pytest.raises(ValueError, match=r"\(4,\) or .*\(4, \*batch\)"):
+            UotParams.uniform(3, 4, **kwargs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_bad_per_item_entries(self, bad):
+        w = np.ones((4, 2, 3))
+        w[2, 1, 0] = bad
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            UotParams.uniform(3, 4, alpha2=w)
+
 
 class TestObjective:
     def test_entropic_uniform_square(self):
@@ -534,6 +571,14 @@ class TestSolve:
         with pytest.raises(ValueError, match="entropic"):
             solve(np.zeros((2, 3, 4)), params, SolverKind.SINKHORN)
 
+    @pytest.mark.parametrize("kind", list(SolverKind))
+    def test_rejects_input_batch_unlike_weight_batch(self, kind):
+        params = UotParams.uniform(3, 4, alpha0=np.ones((4, 2, 3)))
+        for shape in ((3, 4), (6, 3, 4), (3, 2, 3, 4), (2, 3, 1, 3, 4)):
+            with pytest.raises(ValueError, match=r"batch shape \(2, 3\), got"):
+                solve(np.zeros(shape), params, kind)
+        assert solve(np.zeros((2, 3, 3, 4)), params, kind)[0].shape == (2, 3, 3, 4)
+
     def test_rejects_kind_name(self):
         # Any non-Sinkhorn kind would otherwise run the BADMM branch.
         with pytest.raises(TypeError, match="SolverKind"):
@@ -826,6 +871,96 @@ class TestFeatureMajorLayout:
         assert not solvers._feature_major(np.empty((16, 8)))  # one matrix
 
 
+class TestPerItemWeights:
+    """Weights of shape (K, *batch) give each item its own column, with the
+    bits of a solve of that item alone with (K,) weights."""
+
+    @staticmethod
+    def assert_items_match_single_solves(x, params, kind):
+        plan, diag = solve(x, params, kind)
+        batch = x.shape[:-2]
+        assert plan.shape == x.shape and diag.objective_trace.shape == (params.k_iters,) + batch
+        non_finite = 0
+        for i in np.ndindex(batch):
+            col = (slice(None),) + i
+            single = UotParams(params.k_iters, params.alpha0[col], params.alpha1[col],
+                               params.alpha2[col], params.rho[col], params.p0, params.q0,
+                               params.reg)
+            plan_i, diag_i = solve(x[i], single, kind)
+            np.testing.assert_array_equal(plan[i], plan_i)
+            np.testing.assert_array_equal(diag.objective_trace[col], diag_i.objective_trace)
+            non_finite += diag_i.has_nan
+        assert diag.has_nan == (non_finite > 0)
+        return non_finite
+
+    @staticmethod
+    def draw_weights(rng, k, batch, decade_share):
+        """Weights in [0.05, 5] per module and item; a share of the items
+        gets a cell of the stability grid (alpha0 and alpha1 = alpha2 over
+        ten decades, rho = 1), where the Sinkhorn scheme overflows in some
+        corners."""
+        w = np.exp(rng.uniform(np.log(0.05), np.log(5.0), (4, k) + batch))
+        grid = np.ones((4,) + batch)
+        grid[0], grid[1] = 10.0 ** rng.integers(-5, 5, (2,) + batch)
+        grid[2] = grid[1]
+        return np.where(rng.random(batch) < decade_share, grid[:, None], w)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(SOLVER_CONFIGS),
+        st.integers(1, 5),
+        st.integers(1, 300),
+        st.integers(1, 12),
+        st.integers(1, 20),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    def test_items_match_single_solves(self, config, k, items, d, n, seed, decade_share):
+        kind, reg = config
+        rng = np.random.default_rng(seed)
+        w = self.draw_weights(rng, k, (items,), decade_share)
+        params = UotParams(k, *w, rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(n)), reg)
+        self.assert_items_match_single_solves(rng.uniform(-3.0, 3.0, (items, d, n)), params, kind)
+
+    @pytest.mark.parametrize("kind,reg", SOLVER_CONFIGS)
+    def test_two_batch_axes(self, kind, reg):
+        rng = np.random.default_rng(30)
+        w = self.draw_weights(rng, 4, (3, 4), 0.5)
+        params = UotParams.uniform(5, 10, k_iters=4, alpha0=w[0], alpha1=w[1], alpha2=w[2],
+                                   rho=1.0, reg=reg)
+        self.assert_items_match_single_solves(rng.uniform(0.0, 1.0, (3, 4, 5, 10)), params, kind)
+
+    @pytest.mark.parametrize("kind,reg", SOLVER_CONFIGS)
+    def test_chunked_threaded_batch(self, kind, reg):
+        # 2 items of 100 x 500 per 1 MiB chunk: 6 chunks, each solved with its own weights.
+        rng = np.random.default_rng(31)
+        w = self.draw_weights(rng, 3, (12,), 0.0)
+        params = UotParams(3, *w, rng.dirichlet(np.ones(100)), rng.dirichlet(np.ones(500)), reg)
+        x = rng.uniform(0.0, 1.0, (12, 100, 500))
+        with mock.patch.object(os, "cpu_count", return_value=2), \
+                mock.patch.object(solvers, "_solve_chunk", wraps=solvers._solve_chunk) as chunk, \
+                mock.patch.object(solvers, "ThreadPoolExecutor", wraps=ThreadPoolExecutor) as pool:
+            self.assert_items_match_single_solves(x, params, kind)
+        assert pool.call_args_list[0].args == (2,)
+        assert [len(c.args[0]) for c in chunk.call_args_list[:6]] == [2] * 6
+
+    def test_stability_grid_runs_non_finite_items_again(self):
+        # The ``uotpool stability`` grid as one batch: the kernel scheme
+        # overflows in some cells, whose trace entries are evaluated again.
+        decades = np.array([10.0 ** e for e in range(-5, 5)])
+        a0 = np.broadcast_to(np.repeat(decades, 10), (4, 100))
+        a12 = np.broadcast_to(np.tile(decades, 10), (4, 100))
+        params = UotParams.uniform(5, 10, k_iters=4, alpha0=a0, alpha1=a12, alpha2=a12)
+        x = np.repeat(random_input(0)[None], 100, axis=0)
+        with mock.patch.object(solvers, "_objective_core", wraps=solvers._objective_core) as core:
+            assert self.assert_items_match_single_solves(x, params, SolverKind.SINKHORN) >= 1
+        weights = [c.args[2:5] for c in core.call_args_list if np.ndim(c.args[2]) == 1]
+        assert weights, "the batch's re-run path was not taken"
+        for c in core.call_args_list:
+            if np.ndim(c.args[2]) == 1:
+                assert all(len(v) == len(c.args[0]) for v in c.args[2:5])
+
+
 class TestBufferReuse:
     """The module generators allocate their full-size buffers once per chunk."""
 
@@ -980,6 +1115,16 @@ class TestSolveVjp:
         with pytest.raises(ValueError, match="entropic"):
             solve_vjp(np.zeros((3, 4)), UotParams.uniform(3, 4, reg=Regularizer.QUADRATIC),
                       SolverKind.SINKHORN)
+
+    @pytest.mark.parametrize("kind", list(SolverKind))
+    def test_rejects_per_item_weights(self, kind):
+        params = UotParams.uniform(3, 4, rho=np.ones((4, 2)))
+        with pytest.raises(ValueError, match="per-item weights"):
+            solve_vjp(np.zeros((2, 3, 4)), params, kind)
+        spec = UotSinkhornPooling if kind is SolverKind.SINKHORN else UotBadmmPooling
+        task = SyntheticTask(2, 4, 3, MaxThreshold(feature=0), seed=0)
+        with pytest.raises(ValueError, match="per-item weights"):
+            train_synthetic(task, spec(params), epochs=1)
 
     @pytest.mark.parametrize("kind", list(SolverKind))
     def test_pullback_rejects_mismatched_cotangent(self, kind):

@@ -10,6 +10,10 @@ in a fixed order:
 * ``stability``: the ``uotpool stability`` grid (5 x 10, weights over ten
   decades, where the Sinkhorn scheme overflows in some corners), for each
   solver config;
+* ``stability_batched``: the same grid solved as one 100-item batch with
+  per-item weights for each solver config, hashed per item: the plan, the
+  trace column, ``has_nan``, ``total_mass`` and the ``pool_with_plan`` rows.
+  Hashing each cell's own solve the same way gives the same digest;
 * ``random``: 450 random solves: shapes, batch axes, priors and
   per-module weights in [1e-5, 1e4] drawn from fixed seeds, each solved with
   the default chunk budget and again with one item per chunk;
@@ -68,8 +72,8 @@ CONFIGS = (
 )
 
 
-SECTIONS = ("stability", "random", "vjp_plans", "vjp_gradients", "many_items", "bench",
-            "task_data", "training")
+SECTIONS = ("stability", "stability_batched", "random", "vjp_plans", "vjp_gradients",
+            "many_items", "bench", "task_data", "training")
 
 
 class Digest:
@@ -95,12 +99,23 @@ class Digest:
         self.array(diag.objective_trace)
         self.update(struct.pack("<?ddd", diag.has_nan, diag.total_mass,
                                 diag.marginal_gap_row, diag.marginal_gap_col))
+        self.pooled(x, plan)
+        self.count += 1
+
+    def pooled(self, x, plan) -> None:
         try:
             self.array(pool_with_plan(x, plan))
         except DegenerateRowError as err:
             # The parent's error has no item; hash what both name.
             self.update(f"degenerate row {err.row}".encode())
-        self.count += 1
+
+    def cell(self, x, plan, trace) -> None:
+        """What ``uotpool stability`` reads from one cell, and its pooled rows."""
+        self.array(plan)
+        self.array(trace)
+        self.update(struct.pack("<?d", not (np.isfinite(trace).all() and np.isfinite(plan).all()),
+                                float(plan.sum())))
+        self.pooled(x, plan)
 
     def vjp(self, x, params, kind, rng) -> None:
         """The plan into the current section, the gradient into ``vjp_gradients``."""
@@ -120,6 +135,21 @@ def stability_grid(dig: Digest) -> None:
                 params = UotParams.uniform(5, 10, k_iters=4, alpha0=a0, alpha1=a12,
                                            alpha2=a12, rho=1.0, reg=reg)
                 dig.solve(x, params, kind)
+
+
+def stability_batched(dig: Digest) -> None:
+    dig.start("stability_batched")
+    x = np.random.default_rng(0).uniform(0.0, 1.0, (5, 10))
+    decades = np.array([10.0 ** e for e in range(-5, 5)])
+    a0 = np.broadcast_to(np.repeat(decades, 10), (4, 100))
+    a12 = np.broadcast_to(np.tile(decades, 10), (4, 100))
+    for kind, reg in CONFIGS:
+        params = UotParams.uniform(5, 10, k_iters=4, alpha0=a0, alpha1=a12, alpha2=a12,
+                                   rho=1.0, reg=reg)
+        plan, diag = solve(np.repeat(x[None], 100, axis=0), params, kind)
+        for i in range(100):
+            dig.cell(x, plan[i], diag.objective_trace[:, i])
+        dig.count += 1
 
 
 def random_solves(dig: Digest, cases: int = 450) -> None:
@@ -184,6 +214,7 @@ def main() -> None:
     args = parser.parse_args()
     dig = Digest()
     stability_grid(dig)
+    stability_batched(dig)
     random_solves(dig)
     many_items(dig)
     if not args.quick:
@@ -192,7 +223,7 @@ def main() -> None:
     if args.quick:
         del dig.hashes["bench"]
     for section, h in dig.hashes.items():
-        print(f"{section:14s} {h.hexdigest()}")
+        print(f"{section:18s} {h.hexdigest()}")
     print(f"{dig.count} solves")
 
 
