@@ -260,22 +260,27 @@ def cmd_stability(config: ExperimentConfig) -> list[str]:
 
 def cmd_convergence(config: ExperimentConfig) -> list[str]:
     """Record the mean final objective over a batch of random inputs as the
-    number of solver iterations grows."""
+    number of solver iterations grows.
+
+    Each configuration is solved once, at the deepest depth in ``k_list``.
+    The weights are the same in every module, so the first ``k`` modules of
+    that solve are the ``k``-module solve, and depth ``k``'s objective is
+    trace entry ``k - 1``, bitwise."""
     seed = config.resolve_seed("convergence")
     rng = np.random.default_rng(seed)
     d, n = config.batch_dims
     x = rng.uniform(0.0, 1.0, (config.batch_size, d, n))
 
+    def params(k, reg):
+        return UotParams.uniform(d, n, k_iters=k, alpha0=config.alpha0, alpha1=config.alpha1,
+                                 alpha2=config.alpha2, rho=config.rho, reg=reg)
+
+    depths = [params(k, Regularizer.ENTROPIC).k_iters for k in config.k_list]  # UotParams checks k
     rows: list[list] = []
-    for _, kind, reg in _STABILITY_CONFIGS:
-        for k in config.k_list:
-            params = UotParams.uniform(
-                d, n, k_iters=k,
-                alpha0=config.alpha0, alpha1=config.alpha1,
-                alpha2=config.alpha2, rho=config.rho, reg=reg,
-            )
-            _, diag = solve(x, params, kind)
-            rows.append([kind.value, reg.value, k, float(diag.objective_trace[-1].mean())])
+    for _, kind, reg in _STABILITY_CONFIGS if depths else ():
+        _, diag = solve(x, params(max(depths), reg), kind)
+        rows += [[kind.value, reg.value, k, float(diag.objective_trace[depth - 1].mean())]
+                 for k, depth in zip(config.k_list, depths)]
 
     return _write_outputs(config, "convergence", seed, {
         "convergence.csv": (["solver", "reg", "k", "objective"], rows),

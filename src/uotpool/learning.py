@@ -17,8 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .numerics import expit, softplus, softplus_inverse
-from .pooling import UotBadmmPooling, UotSinkhornPooling, pool_with_plan
-from .solvers import Regularizer, UotParams, solve_vjp
+from .pooling import UotBadmmPooling, UotSinkhornPooling
+from .solvers import Regularizer, UotParams, pool_with_plan, solve_vjp
 
 __all__ = [
     "MaxThreshold",

@@ -20,8 +20,8 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .numerics import DegenerateRowError, expit, row_conditional, softmax
-from .solvers import SolverDiagnostics, SolverKind, UotParams, solve
+from .numerics import expit, softmax
+from .solvers import SolverDiagnostics, SolverKind, UotParams, pool_with_plan, solve
 
 __all__ = [
     "AttentionParams",
@@ -46,45 +46,12 @@ __all__ = [
     "mean_config",
     "mean_pool",
     "mixed_pool",
-    "pool_with_plan",
     "row_argmax",
     "uot_pool",
 ]
 
 
 # ---- reference poolings ----
-
-_CHUNK_BYTES = 1 << 20  # plan bytes pool_with_plan weights at a time: a chunk stays in cache
-
-
-def pool_with_plan(x: np.ndarray, plan: np.ndarray) -> np.ndarray:
-    """Average each feature row of ``x`` under the plan's row-conditional weights.
-
-    ``output[d] = sum_n x[d, n] * plan[d, n] / sum_m plan[d, m]``. Raises a
-    degenerate-row error, naming the row and its batch item, if any plan row
-    carries zero mass. A batch is weighted in cache-sized chunks of items.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    plan = np.asarray(plan, dtype=np.float64)
-    if x.shape != plan.shape:
-        raise ValueError(f"input and plan shapes differ: {x.shape} vs {plan.shape}")
-    if x.ndim < 3:
-        weights = row_conditional(plan)
-        with np.errstate(under="ignore"):
-            return np.multiply(weights, x, out=weights).sum(axis=-1)
-    flat_x, flat_plan = (a.reshape((-1,) + a.shape[-2:]) for a in (x, plan))
-    out = np.empty(flat_plan.shape[:-1])
-    step = max(1, _CHUNK_BYTES // max(1, flat_plan[:1].nbytes))
-    for start in range(0, len(flat_plan), step):
-        chunk = slice(start, start + step)
-        try:
-            weights = row_conditional(flat_plan[chunk])
-        except DegenerateRowError as err:
-            raise DegenerateRowError(err.row, start + err.item) from None
-        with np.errstate(under="ignore"):
-            np.multiply(weights, flat_x[chunk], out=weights).sum(axis=-1, out=out[chunk])
-    return out.reshape(x.shape[:-1])
-
 
 def mean_pool(x: np.ndarray) -> np.ndarray:
     """Row means."""

@@ -42,7 +42,8 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import logsumexp_cols, logsumexp_rows, validate_simplex
+from .numerics import (DegenerateRowError, logsumexp_cols, logsumexp_rows, row_conditional,
+                       validate_simplex)
 
 __all__ = [
     "BadmmState",
@@ -55,6 +56,7 @@ __all__ = [
     "badmm_dual_update",
     "badmm_init",
     "badmm_primal_update",
+    "pool_with_plan",
     "sinkhorn_init",
     "sinkhorn_step",
     "solve",
@@ -151,16 +153,7 @@ class UotParams:
         reg: Regularizer = Regularizer.ENTROPIC,
     ) -> "UotParams":
         """Build a parameter bundle, broadcasting scalar weights to all modules."""
-        return cls(
-            k_iters=k_iters,
-            alpha0=np.asarray(alpha0, dtype=np.float64),
-            alpha1=np.asarray(alpha1, dtype=np.float64),
-            alpha2=np.asarray(alpha2, dtype=np.float64),
-            rho=np.asarray(rho, dtype=np.float64),
-            p0=p0,
-            q0=q0,
-            reg=reg,
-        )
+        return cls(k_iters, alpha0, alpha1, alpha2, rho, p0, q0, reg)
 
     @classmethod
     def uniform(
@@ -176,16 +169,8 @@ class UotParams:
         reg: Regularizer = Regularizer.ENTROPIC,
     ) -> "UotParams":
         """Constant weights with uniform priors over ``d`` features and ``n`` samples."""
-        return cls.constant(
-            np.full(d, 1.0 / d),
-            np.full(n, 1.0 / n),
-            k_iters=k_iters,
-            alpha0=alpha0,
-            alpha1=alpha1,
-            alpha2=alpha2,
-            rho=rho,
-            reg=reg,
-        )
+        p0, q0 = np.full(d, 1.0 / d), np.full(n, 1.0 / n)
+        return cls(k_iters, alpha0, alpha1, alpha2, rho, p0, q0, reg)
 
 
 @dataclass
@@ -244,7 +229,10 @@ def _kernel(
 
 
 def sinkhorn_init(x: np.ndarray, params: UotParams) -> SinkhornState:
-    """Zero duals and the scaled cost as the initial kernel."""
+    """Zero duals and the scaled cost as the initial kernel; weights must be shared ``(K,)``."""
+    if params.alpha0.ndim > 1:
+        raise ValueError("sinkhorn_init needs weights of shape (k_iters,), "
+                         f"got per-item weights of shape {params.alpha0.shape}")
     x = np.asarray(x, dtype=np.float64)
     a = np.zeros(x.shape[:-1])
     b = np.zeros(x.shape[:-2] + x.shape[-1:])
@@ -708,9 +696,9 @@ _SCHEMES = {
 }
 
 
-# Bytes of one full-size array per chunk of batch items: small enough that a
-# chunk's few full-size buffers stay near a core's L2 (2 MiB here; 2 items at
-# 100 x 500), large enough that small batches run as one chunk.
+# Bytes of one full-size array per chunk of batch items, in the solve and pool_with_plan:
+# small enough that a chunk's few full-size buffers stay near a core's L2 (2 MiB
+# here; 2 items at 100 x 500), large enough that small batches run as one chunk.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -728,6 +716,39 @@ def _for_chunks(x: np.ndarray, run: Callable[[slice], None]) -> None:
 
     with ThreadPoolExecutor(min(os.cpu_count() or 1, len(starts))) as pool:
         list(pool.map(task, starts))  # reading each result re-raises a worker's error
+
+
+def pool_with_plan(x: np.ndarray, plan: np.ndarray) -> np.ndarray:
+    """Average each feature row of ``x`` under the plan's row-conditional weights.
+
+    ``output[d] = sum_n x[d, n] * plan[d, n] / sum_m plan[d, m]``. Raises a
+    degenerate-row error, naming the first zero-mass plan row and its batch
+    item, if any plan row carries zero mass. A single matrix is weighted on
+    the calling thread; a batch on the solve's chunks of items and threads.
+    Each pooled row comes from its own plan row only, so the chunking moves
+    no bit.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    plan = np.asarray(plan, dtype=np.float64)
+    if x.shape != plan.shape:
+        raise ValueError(f"input and plan shapes differ: {x.shape} vs {plan.shape}")
+    if x.ndim < 3:
+        weights = row_conditional(plan)
+        with np.errstate(under="ignore"):
+            return np.multiply(weights, x, out=weights).sum(axis=-1)
+    flat_x, flat_plan = (a.reshape((-1,) + a.shape[-2:]) for a in (x, plan))
+    out = np.empty(flat_plan.shape[:-1])
+
+    def run(chunk: slice) -> None:
+        try:
+            weights = row_conditional(flat_plan[chunk])
+        except DegenerateRowError as err:  # name the item by its flat index in the batch
+            raise DegenerateRowError(err.row, (chunk.start or 0) + err.item) from None
+        with np.errstate(under="ignore"):
+            np.multiply(weights, flat_x[chunk], out=weights).sum(axis=-1, out=out[chunk])
+
+    _for_chunks(flat_plan, run)
+    return out.reshape(x.shape[:-1])
 
 
 def _solve_chunk(x: np.ndarray, params: UotParams, kind: SolverKind, w: tuple):

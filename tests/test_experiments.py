@@ -221,6 +221,56 @@ class TestConvergence:
         digits = re.sub(r"[^0-9]", "", rows[0]["objective"].split("e")[0])
         assert len(digits.lstrip("0")) >= 9
 
+    @staticmethod
+    def per_depth_convergence(config):
+        """The study as one solve per depth, the way ``cmd_convergence`` ran
+        it before it read every depth from one solve at the deepest."""
+        seed = config.resolve_seed("convergence")
+        d, n = config.batch_dims
+        x = np.random.default_rng(seed).uniform(0.0, 1.0, (config.batch_size, d, n))
+        rows = []
+        for _, kind, reg in experiments._STABILITY_CONFIGS:
+            for k in config.k_list:
+                params = UotParams.uniform(d, n, k_iters=k, alpha0=config.alpha0,
+                                           alpha1=config.alpha1, alpha2=config.alpha2,
+                                           rho=config.rho, reg=reg)
+                _, diag = solve(x, params, kind)
+                rows.append([kind.value, reg.value, k, float(diag.objective_trace[-1].mean())])
+        experiments._write_outputs(config, "convergence", seed, {
+            "convergence.csv": (["solver", "reg", "k", "objective"], rows),
+        })
+
+    @pytest.mark.parametrize("kwargs", [
+        {"batch_dims": (6, 7), "batch_size": 3, "seed": 0},
+        {"batch_dims": (6, 7), "batch_size": 3, "seed": 1},
+        {"batch_dims": (6, 7), "batch_size": 3, "seed": 12345, "k_list": (8, 1, 3, 8, 2.0, 3)},
+        {"batch_dims": (8, 16), "batch_size": 200, "seed": 2, "k_list": (1, 2, 5)},
+        {"batch_dims": (6, 1), "batch_size": 4, "seed": 3, "k_list": (1, 4)},
+        {"batch_dims": (5, 10), "batch_size": 3, "k_list": (1, 2, 4),
+         "alpha0": 1e-5, "alpha1": 1e-5, "alpha2": 1e-5, "rho": 1e4},
+        {"batch_dims": (6, 1), "batch_size": 4, "seed": 5, "k_list": (3, 1),
+         "alpha0": 1e-5, "alpha1": 1e-5, "alpha2": 1e-5, "rho": 1e4},
+        {"batch_dims": (6, 7), "batch_size": 3, "k_list": ()},
+    ])
+    def test_one_solve_per_config_writes_the_per_depth_bytes(self, tmp_path, kwargs):
+        deepest, per_depth = tmp_path / "deepest", tmp_path / "per_depth"
+        cmd_convergence(ExperimentConfig(out=str(deepest), **kwargs))
+        self.per_depth_convergence(ExperimentConfig(out=str(per_depth), **kwargs))
+        written = (deepest / "convergence.csv").read_bytes()
+        assert written == (per_depth / "convergence.csv").read_bytes()
+        k_list = kwargs.get("k_list", ExperimentConfig().k_list)
+        assert len(read_rows(deepest / "convergence.csv")) == 3 * len(k_list)
+        if kwargs.get("alpha0") == 1e-5:  # the kernel scheme overflows at these weights
+            assert "nan" in written.decode()
+
+    @pytest.mark.parametrize("bad", [0, -2, 1.5, True, "4"])
+    def test_rejects_each_bad_depth(self, tmp_path, bad):
+        config = ExperimentConfig(out=str(tmp_path), batch_dims=(6, 7), batch_size=2,
+                                  k_list=(2, bad, 4))
+        with pytest.raises(ValueError, match="k_iters must be a positive integer"):
+            cmd_convergence(config)
+        assert not (tmp_path / "convergence.csv").exists()
+
 
 class TestBench:
     def test_schema_and_methods(self, tmp_path):

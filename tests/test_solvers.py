@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -39,7 +40,7 @@ from uotpool import (
     uot_objective,
     uot_pool,
 )
-from uotpool import DegenerateRowError, pooling, solvers
+from uotpool import DegenerateRowError, solvers
 from uotpool.pooling import attention_config
 
 SOLVER_CONFIGS = [
@@ -261,6 +262,12 @@ class TestSinkhornSteps:
         np.testing.assert_array_equal(state.a, np.zeros(3))
         np.testing.assert_array_equal(state.b, np.zeros(4))
         np.testing.assert_array_equal(state.y, x / 2.0)
+
+    @pytest.mark.parametrize("items", [1, 2])
+    def test_init_rejects_per_item_weights(self, items):
+        p = UotParams.uniform(3, 4, alpha0=np.full((4, items), 2.0))
+        with pytest.raises(ValueError, match=rf"per-item weights of shape \(4, {items}\)"):
+            sinkhorn_init(np.zeros((items, 3, 4)), p)
 
     def test_zero_cost_uniform_is_fixed_point(self):
         x = np.zeros((4, 4))
@@ -741,14 +748,14 @@ class TestChunkedSolve:
             plan, diag = solve(x, params, kind)
             pooled = pool_with_plan(x, plan)
             with mock.patch.object(solvers, "_CHUNK_BYTES", 1), \
-                    mock.patch.object(pooling, "_CHUNK_BYTES", 1), \
                     mock.patch.object(solvers, "ThreadPoolExecutor",
                                       wraps=ThreadPoolExecutor) as pool, \
-                    mock.patch.object(pooling, "row_conditional",
-                                      wraps=pooling.row_conditional) as rows:
+                    mock.patch.object(solvers, "row_conditional",
+                                      wraps=solvers.row_conditional) as rows:
                 chunked_plan, chunked = solve(x, params, kind)
+                assert pool.call_count == 1  # the diagnostics reuse the solve's sums
                 chunked_pooled = pool_with_plan(x, chunked_plan)
-            assert pool.call_count == 1  # the diagnostics reuse the solve's sums
+            assert pool.call_count == 2  # pool_with_plan runs on the same chunk scheduler
             assert rows.call_count == 6
             np.testing.assert_array_equal(chunked_plan, plan)
             np.testing.assert_array_equal(chunked_pooled, pooled)
@@ -787,10 +794,62 @@ class TestChunkedSolve:
         plan = np.full(x.shape, 0.05)
         plan[1, 2, 3] = 0.0
         for chunk_bytes in (1, 2**62):
-            with mock.patch.object(pooling, "_CHUNK_BYTES", chunk_bytes), \
+            with mock.patch.object(solvers, "_CHUNK_BYTES", chunk_bytes), \
                     pytest.raises(DegenerateRowError, match="row 3 of item 5 ") as info:
                 pool_with_plan(x, plan)
             assert (info.value.row, info.value.item) == (3, 5)
+
+
+class TestChunkedPooling:
+    """pool_with_plan weights a batch on the solve's chunks and threads."""
+
+    def test_first_zero_row_in_batch_order_wins(self):
+        # Zero rows in items 2 and 5, one item per chunk on four threads.
+        # Item 2's chunk waits until item 5's has failed, so the error read
+        # first in submission order is not the first one raised.
+        x = np.ones((6, 4, 5))
+        plan = np.full(x.shape, 0.05) * np.arange(1.0, 7.0)[:, None, None]
+        plan[2, 1] = plan[5, 3] = 0.0
+        later_failed, row_conditional = threading.Event(), solvers.row_conditional
+
+        def rows(p):
+            if p[0, 0, 0] == plan[2, 0, 0]:
+                assert later_failed.wait(10)
+            try:
+                return row_conditional(p)
+            finally:
+                if p[0, 0, 0] == plan[5, 0, 0]:
+                    later_failed.set()
+
+        with mock.patch.object(os, "cpu_count", return_value=4), \
+                mock.patch.object(solvers, "_CHUNK_BYTES", 1), \
+                mock.patch.object(solvers, "row_conditional", side_effect=rows), \
+                mock.patch.object(solvers, "ThreadPoolExecutor", wraps=ThreadPoolExecutor) as pool, \
+                pytest.raises(DegenerateRowError, match="row 1 of item 2 ") as info:
+            pool_with_plan(x, plan)
+        assert pool.call_args.args == (4,)
+        assert (info.value.row, info.value.item) == (1, 2)
+
+    def test_chunks_and_threads_keep_every_bit(self):
+        # 12 items over two batch axes, 5 items per chunk: 3 chunks. A NaN and
+        # an overflowing entry propagate to their own pooled rows only.
+        rng = np.random.default_rng(40)
+        x = rng.uniform(-3.0, 3.0, (3, 4, 6, 7))
+        plan = rng.uniform(0.0, 1.0, x.shape)
+        plan[1, 2, 3, 4], plan[2, 0, 5, 1] = np.nan, np.inf
+        whole = pool_with_plan(x, plan)
+        assert np.isnan(whole[1, 2, 3]) and np.isnan(whole[2, 0, 5])
+        assert np.isfinite(whole).sum() == whole.size - 2
+        with mock.patch.object(solvers, "_CHUNK_BYTES", 5 * x.itemsize * 6 * 7):
+            for cpus in (1, 4):
+                with mock.patch.object(os, "cpu_count", return_value=cpus), \
+                        mock.patch.object(solvers, "ThreadPoolExecutor",
+                                          wraps=ThreadPoolExecutor) as pool:
+                    np.testing.assert_array_equal(pool_with_plan(x, plan), whole)
+                assert pool.call_args.args == (min(cpus, 3),)
+
+    def test_empty_batch(self):
+        assert pool_with_plan(np.zeros((0, 6, 7)), np.zeros((0, 6, 7))).shape == (0, 6)
 
 
 class TestCallerErrstate:

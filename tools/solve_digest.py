@@ -28,7 +28,9 @@ in a fixed order:
 * ``task_data``: ``generate_task_data`` bags and labels for both rules over
   several seeds, bag counts, bag sizes and rule features;
 * ``training``: a 3-epoch ``train_synthetic`` loss trace on the ``uotpool
-  train`` task for each solver config.
+  train`` task for each solver config;
+* ``convergence``: the ``convergence.csv`` bytes ``uotpool convergence``
+  writes for two small configs, one with non-finite objectives.
 
 For every solve it hashes the plan, every ``SolverDiagnostics`` field and the
 ``pool_with_plan`` rows, or the row and item a ``DegenerateRowError`` names.
@@ -40,6 +42,7 @@ import argparse
 import hashlib
 import struct
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -64,6 +67,7 @@ from uotpool import (  # noqa: E402
     solvers,
     train_synthetic,
 )
+from uotpool.experiments import ExperimentConfig, cmd_convergence  # noqa: E402
 
 CONFIGS = (
     (SolverKind.SINKHORN, Regularizer.ENTROPIC),
@@ -73,7 +77,7 @@ CONFIGS = (
 
 
 SECTIONS = ("stability", "stability_batched", "random", "vjp_plans", "vjp_gradients",
-            "many_items", "bench", "task_data", "training")
+            "many_items", "bench", "task_data", "training", "convergence")
 
 
 class Digest:
@@ -208,6 +212,16 @@ def training(dig: Digest) -> None:
                                   epochs=3))
 
 
+def convergence(dig: Digest) -> None:
+    dig.start("convergence")
+    for kwargs in ({"batch_dims": (6, 7), "batch_size": 5, "seed": 4, "k_list": (4, 1, 2, 4)},
+                   {"batch_dims": (5, 10), "batch_size": 3, "k_list": (1, 3), "alpha0": 1e-5,
+                    "alpha1": 1e-5, "alpha2": 1e-5, "rho": 1e4}):
+        with tempfile.TemporaryDirectory() as out:
+            cmd_convergence(ExperimentConfig(out=out, **kwargs))
+            dig.update((Path(out) / "convergence.csv").read_bytes())
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="skip the bench batch")
@@ -220,6 +234,7 @@ def main() -> None:
     if not args.quick:
         bench_batch(dig)
     training(dig)
+    convergence(dig)
     if args.quick:
         del dig.hashes["bench"]
     for section, h in dig.hashes.items():
