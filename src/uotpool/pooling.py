@@ -16,7 +16,7 @@ All reference poolings broadcast over leading batch axes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Union
+from typing import ClassVar
 
 import numpy as np
 
@@ -25,17 +25,9 @@ from .solvers import SolverDiagnostics, SolverKind, UotParams, pool_with_plan, s
 
 __all__ = [
     "AttentionParams",
-    "AttentionPooling",
-    "GatedMeanMaxPooling",
-    "HierarchicalUotPooling",
-    "MaxPooling",
     "MeanMaxGate",
-    "MeanPooling",
-    "MixedMeanMaxPooling",
-    "PoolingSpec",
     "UotBadmmPooling",
     "UotSinkhornPooling",
-    "apply_pooling",
     "attention_config",
     "attention_pool",
     "attention_weights",
@@ -215,36 +207,7 @@ def hierarchical_uot_pool(
     return pooled
 
 
-# ---- dispatchable pooling specifications ----
-
-@dataclass(frozen=True)
-class MeanPooling:
-    pass
-
-
-@dataclass(frozen=True)
-class MaxPooling:
-    pass
-
-
-@dataclass(frozen=True)
-class AttentionPooling:
-    params: AttentionParams
-
-
-@dataclass(frozen=True)
-class MixedMeanMaxPooling:
-    omega: float
-
-    def __post_init__(self):
-        if not 0.0 < float(self.omega) < 1.0:
-            raise ValueError(f"omega must lie strictly inside (0, 1), got {self.omega}")
-
-
-@dataclass(frozen=True)
-class GatedMeanMaxPooling:
-    gate: MeanMaxGate
-
+# ---- transport pooling specifications ----
 
 @dataclass(frozen=True)
 class UotSinkhornPooling:
@@ -256,45 +219,3 @@ class UotSinkhornPooling:
 class UotBadmmPooling:
     params: UotParams
     solver: ClassVar[SolverKind] = SolverKind.BADMM
-
-
-@dataclass(frozen=True)
-class HierarchicalUotPooling:
-    omega: float
-    solver: SolverKind = SolverKind.SINKHORN
-    k_iters: int = 32
-
-    def __post_init__(self):
-        if not 0.0 < float(self.omega) < 1.0:
-            raise ValueError(f"omega must lie strictly inside (0, 1), got {self.omega}")
-
-
-PoolingSpec = Union[
-    MeanPooling,
-    MaxPooling,
-    AttentionPooling,
-    MixedMeanMaxPooling,
-    GatedMeanMaxPooling,
-    UotSinkhornPooling,
-    UotBadmmPooling,
-    HierarchicalUotPooling,
-]
-
-
-def apply_pooling(x: np.ndarray, spec: PoolingSpec) -> np.ndarray:
-    """Pool ``x`` according to a pooling specification, discarding diagnostics."""
-    if isinstance(spec, MeanPooling):
-        return mean_pool(x)
-    if isinstance(spec, MaxPooling):
-        return max_pool(x)
-    if isinstance(spec, AttentionPooling):
-        return attention_pool(x, spec.params)
-    if isinstance(spec, MixedMeanMaxPooling):
-        return mixed_pool(x, spec.omega)
-    if isinstance(spec, GatedMeanMaxPooling):
-        return gated_mean_max_pool(x, spec.gate)
-    if isinstance(spec, (UotSinkhornPooling, UotBadmmPooling)):
-        return uot_pool(x, spec.params, spec.solver)[0]
-    if isinstance(spec, HierarchicalUotPooling):
-        return hierarchical_uot_pool(x, spec.omega, spec.solver, spec.k_iters)
-    raise TypeError(f"unknown pooling specification: {type(spec).__name__}")

@@ -72,6 +72,11 @@ class Regularizer(Enum):
     QUADRATIC = "quadratic"
 
 
+def _check_reg(reg) -> None:
+    if not isinstance(reg, Regularizer):
+        raise TypeError(f"reg must be a Regularizer, got {reg!r}")
+
+
 class SolverKind(Enum):
     """Which unrolled scheme computes the plan."""
 
@@ -92,7 +97,7 @@ class UotParams:
     Every entry must be finite and positive. The weights are kept as
     read-only copies. ``p0`` and ``q0`` are probability vectors over the
     feature and sample axes respectively; their lengths fix the (D, N)
-    shape the solve expects.
+    shape the solve expects. ``reg`` must be a :class:`Regularizer`.
     """
 
     k_iters: int
@@ -138,6 +143,7 @@ class UotParams:
                 raise ValueError(f"{name} entries must be strictly positive")
             v.flags.writeable = False
             object.__setattr__(self, name, v)
+        _check_reg(self.reg)
 
     @classmethod
     def constant(
@@ -403,10 +409,11 @@ def uot_objective(
     q0: np.ndarray,
     reg: Regularizer,
 ) -> float:
-    """Evaluate the transport objective at a given plan.
+    """Evaluate the transport objective at one (D, N) plan.
 
-    Rejects non-finite inputs, negative plan entries and priors with zero
-    mass anywhere. This direct evaluation is the reference the solvers'
+    Rejects a batch, a ``reg`` that is not a :class:`Regularizer`,
+    non-finite inputs, negative plan entries and priors with zero mass
+    anywhere. This direct evaluation is the reference the solvers'
     objective traces are tested against; the solve loop builds its trace
     from sums it already has and falls back to this evaluation only for
     items whose trace entry is not finite.
@@ -415,6 +422,9 @@ def uot_objective(
     p = np.asarray(p, dtype=np.float64)
     if x.shape != p.shape:
         raise ValueError(f"input and plan shapes differ: {x.shape} vs {p.shape}")
+    if x.ndim != 2:
+        raise ValueError(f"uot_objective takes one (D, N) matrix, got shape {x.shape}")
+    _check_reg(reg)
     if not np.all(np.isfinite(x)) or not np.all(np.isfinite(p)):
         raise ValueError("objective inputs must be finite")
     if np.any(p < 0):
@@ -628,15 +638,15 @@ def _badmm_pullback(x, params, log_p0, log_q0, tape, plan_bar) -> np.ndarray:
     """
     quadratic = params.reg is Regularizer.QUADRATIC
     grad = np.zeros((4, params.k_iters))
-    s_bar, z_bar = np.zeros(x.shape), np.zeros(x.shape)
+    s_bar, z_bar, buf = np.zeros(x.shape), np.zeros(x.shape), np.empty(x.shape)
     for k in reversed(range(params.k_iters)):
         log_s, z = tape[k]
         a0, rho = float(params.alpha0[k]), float(params.rho[k])
         e = np.exp(log_s) if quadratic else 0.0
         y1 = (x - a0 * e - z) / rho + log_s
-        log_p = y1 + (log_p0 - logsumexp_rows(y1))[..., :, None]
+        log_p = y1 + (log_p0 - _lse(y1, -1, buf))[..., :, None]
         y2 = (z - a0 * e) / rho + log_p if quadratic else (rho * log_p + z) / (a0 + rho)
-        s_new = np.exp(y2 + (log_q0 - logsumexp_cols(y2))[..., None, :])
+        s_new = np.exp(y2 + (log_q0 - _lse(y2, -2, buf))[..., None, :])
         p = np.exp(log_p)
         grad[0, k] = (z_bar * (p - s_new)).sum()
         s_bar -= a0 * z_bar * s_new

@@ -381,6 +381,16 @@ class TestOutputFiles:
             assert stat.S_IMODE((tmp_path / name).stat().st_mode) == expected
         assert no_temp_leftovers(tmp_path)
 
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def fail_replace(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(experiments.os, "replace", fail_replace)
+        with pytest.raises(OSError, match="rename refused"):
+            cmd_stability(ExperimentConfig(out=str(tmp_path), dims=(4, 6), k_iters=1))
+        assert no_temp_leftovers(tmp_path)
+        assert not (tmp_path / "stability.csv").exists()
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("runner,kwargs", [
@@ -464,3 +474,9 @@ class TestCli:
         with pytest.raises(SystemExit) as info:
             cli_main(["approx", "--seed", "-1"])
         assert info.value.code == 2
+
+    def test_rejects_non_integer_seed(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli_main(["approx", "--seed", "abc"])
+        assert info.value.code == 2
+        assert "seed must be an integer, got 'abc'" in capsys.readouterr().err

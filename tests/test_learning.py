@@ -6,7 +6,6 @@ import pytest
 import uotpool.learning
 from uotpool import (
     MaxThreshold,
-    MeanPooling,
     MeanThreshold,
     NonFiniteLossError,
     Regularizer,
@@ -289,7 +288,7 @@ class TestTrainSynthetic:
 
     def test_rejects_non_transport_spec(self):
         with pytest.raises(TypeError):
-            train_synthetic(MINI_TASK, MeanPooling(), epochs=1, lr=1.0)
+            train_synthetic(MINI_TASK, object(), epochs=1, lr=1.0)
 
     def test_rejects_mismatched_prior_dims(self):
         bad_spec = UotSinkhornPooling(UotParams.uniform(4, 4, k_iters=2))
@@ -334,6 +333,30 @@ class TestTrainSynthetic:
             train_synthetic(MINI_TASK, MINI_SPEC, epochs=3, lr=1.0)
         assert info.value.epoch == 1
         np.testing.assert_array_equal(info.value.trace, initial)
+
+    def test_non_finite_loss_after_finite_gradient_aborts(self, monkeypatch):
+        real, calls = uotpool.learning.solve_vjp, []
+
+        def nan_second_plan(x, params, kind):
+            plan, pullback = real(x, params, kind)
+            calls.append(kind)
+            return (plan if len(calls) == 1 else np.full_like(plan, np.nan)), pullback
+
+        initial = train_synthetic(MINI_TASK, MINI_SPEC, epochs=0, lr=1.0)
+        monkeypatch.setattr(uotpool.learning, "solve_vjp", nan_second_plan)
+        with pytest.raises(NonFiniteLossError) as info:
+            train_synthetic(MINI_TASK, MINI_SPEC, epochs=3, lr=1.0)
+        assert info.value.epoch == 1 and info.value.__cause__ is None and len(calls) == 2
+        np.testing.assert_array_equal(info.value.trace, initial)
+
+    def test_weight_underflow_aborts_with_validation_cause(self):
+        # A divergent step drives a softplus weight to exactly zero, which
+        # UotParams rejects; the trainer reports it as a non-finite loss.
+        with pytest.raises(NonFiniteLossError) as info:
+            train_synthetic(MINI_TASK, MINI_SPEC, epochs=3, lr=-1e3)
+        assert info.value.epoch == 2 and info.value.trace.shape == (2,)
+        assert isinstance(info.value.__cause__, ValueError)
+        assert "alpha0 entries must be finite and strictly positive" in str(info.value.__cause__)
 
     def test_abort_error_carries_partial_trace(self):
         err = NonFiniteLossError(3, np.array([0.7, 0.6, 0.5]))

@@ -5,19 +5,10 @@ import pytest
 
 from uotpool import (
     AttentionParams,
-    AttentionPooling,
     DegenerateRowError,
-    GatedMeanMaxPooling,
-    HierarchicalUotPooling,
-    MaxPooling,
     MeanMaxGate,
-    MeanPooling,
-    MixedMeanMaxPooling,
     SolverKind,
-    UotBadmmPooling,
     UotParams,
-    UotSinkhornPooling,
-    apply_pooling,
     attention_config,
     attention_pool,
     attention_weights,
@@ -241,39 +232,7 @@ class TestHierarchical:
     def test_rejects_boundary_omega(self, bad):
         with pytest.raises(ValueError):
             hierarchical_uot_pool(X_SMALL, bad)
-        with pytest.raises(ValueError):
-            HierarchicalUotPooling(omega=bad)
 
     def test_requires_matrix(self):
         with pytest.raises(ValueError):
             hierarchical_uot_pool(np.ones(4), 0.5)
-
-
-class TestApplyPooling:
-    def test_dispatch_matches_direct_calls(self):
-        rng = np.random.default_rng(8)
-        x = rng.uniform(0.0, 1.0, (4, 6))
-        att = AttentionParams(v_mat=rng.standard_normal((4, 4)),
-                              w_vec=rng.standard_normal(4))
-        gate = MeanMaxGate(u_vec=rng.standard_normal(4))
-        params = UotParams.uniform(4, 6, alpha0=0.1)
-        cases = [
-            (MeanPooling(), mean_pool(x)),
-            (MaxPooling(), max_pool(x)),
-            (AttentionPooling(att), attention_pool(x, att)),
-            (MixedMeanMaxPooling(0.3), mixed_pool(x, 0.3)),
-            (GatedMeanMaxPooling(gate), gated_mean_max_pool(x, gate)),
-            (UotSinkhornPooling(params), uot_pool(x, params, SolverKind.SINKHORN)[0]),
-            (UotBadmmPooling(params), uot_pool(x, params, SolverKind.BADMM)[0]),
-            (HierarchicalUotPooling(0.4), hierarchical_uot_pool(x, 0.4)),
-        ]
-        for spec, expected in cases:
-            np.testing.assert_array_equal(apply_pooling(x, spec), expected)
-
-    def test_unknown_spec_rejected(self):
-        with pytest.raises(TypeError):
-            apply_pooling(X_SMALL, object())
-
-    def test_mixed_spec_validates_omega(self):
-        with pytest.raises(ValueError):
-            MixedMeanMaxPooling(omega=1.0)

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -184,6 +185,12 @@ class TestUotParams:
         with pytest.raises(ValueError, match="finite and strictly positive"):
             UotParams.uniform(3, 4, alpha2=w)
 
+    @pytest.mark.parametrize("reg", ["quadratic", "entropic", None, 0])
+    def test_rejects_non_regularizer(self, reg):
+        # A string used to be kept, and a BADMM solve then ran the entropic scheme.
+        with pytest.raises(TypeError, match=f"reg must be a Regularizer, got {reg!r}"):
+            UotParams.uniform(5, 10, reg=reg)
+
 
 class TestObjective:
     def test_entropic_uniform_square(self):
@@ -252,6 +259,20 @@ class TestObjective:
         with pytest.raises(ValueError):
             uot_objective(np.ones((2, 2)), np.ones((2, 2)), 1.0, 1.0, 1.0,
                           [1.0], [0.5, 0.5], Regularizer.ENTROPIC)
+
+    @pytest.mark.parametrize("shape", [(1, 2, 2), (3, 2, 2), (2,)])
+    def test_rejects_anything_but_one_matrix(self, shape):
+        # A batch, even of one, used to fail in float() with numpy's scalar TypeError.
+        with pytest.raises(ValueError, match=re.escape(f"one (D, N) matrix, got shape {shape}")):
+            uot_objective(np.ones(shape), np.full(shape, 0.25), 1.0, 1.0, 1.0,
+                          [0.5, 0.5], [0.5, 0.5], Regularizer.ENTROPIC)
+
+    @pytest.mark.parametrize("reg", ["entropic", "quadratic", None])
+    def test_rejects_non_regularizer(self, reg):
+        # "entropic" used to take the quadratic branch.
+        with pytest.raises(TypeError, match=f"reg must be a Regularizer, got {reg!r}"):
+            uot_objective(np.ones((2, 2)), np.full((2, 2), 0.25), 1.0, 1.0, 1.0,
+                          [0.5, 0.5], [0.5, 0.5], reg)
 
 
 class TestSinkhornSteps:

@@ -30,7 +30,11 @@ in a fixed order:
 * ``training``: a 3-epoch ``train_synthetic`` loss trace on the ``uotpool
   train`` task for each solver config;
 * ``convergence``: the ``convergence.csv`` bytes ``uotpool convergence``
-  writes for two small configs, one with non-finite objectives.
+  writes for two small configs, one with non-finite objectives;
+* ``pooling``: on one 5 x 10 matrix and one 3 x 5 x 10 batch, the five
+  reference poolings and ``uot_pool`` with both solvers on ``mean_config``,
+  ``max_config``, ``attention_config`` and one interpolating config; then
+  ``hierarchical_uot_pool`` on the matrix with both solvers and three omegas.
 
 For every solve it hashes the plan, every ``SolverDiagnostics`` field and the
 ``pool_with_plan`` rows, or the row and item a ``DegenerateRowError`` names.
@@ -51,8 +55,10 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from uotpool import (  # noqa: E402
+    AttentionParams,
     DegenerateRowError,
     MaxThreshold,
+    MeanMaxGate,
     MeanThreshold,
     Regularizer,
     SolverKind,
@@ -60,12 +66,22 @@ from uotpool import (  # noqa: E402
     UotBadmmPooling,
     UotParams,
     UotSinkhornPooling,
+    attention_config,
+    attention_pool,
+    gated_mean_max_pool,
     generate_task_data,
+    hierarchical_uot_pool,
+    max_config,
+    max_pool,
+    mean_config,
+    mean_pool,
+    mixed_pool,
     pool_with_plan,
     solve,
     solve_vjp,
     solvers,
     train_synthetic,
+    uot_pool,
 )
 from uotpool.experiments import ExperimentConfig, cmd_convergence  # noqa: E402
 
@@ -77,7 +93,7 @@ CONFIGS = (
 
 
 SECTIONS = ("stability", "stability_batched", "random", "vjp_plans", "vjp_gradients",
-            "many_items", "bench", "task_data", "training", "convergence")
+            "many_items", "bench", "task_data", "training", "convergence", "pooling")
 
 
 class Digest:
@@ -100,10 +116,19 @@ class Digest:
     def solve(self, x, params, kind) -> None:
         plan, diag = solve(x, params, kind)
         self.array(plan)
+        self.diagnostics(diag)
+        self.pooled(x, plan)
+        self.count += 1
+
+    def diagnostics(self, diag) -> None:
         self.array(diag.objective_trace)
         self.update(struct.pack("<?ddd", diag.has_nan, diag.total_mass,
                                 diag.marginal_gap_row, diag.marginal_gap_col))
-        self.pooled(x, plan)
+
+    def uot_pool(self, x, params, kind) -> None:
+        pooled, diag = uot_pool(x, params, kind)
+        self.array(pooled)
+        self.diagnostics(diag)
         self.count += 1
 
     def pooled(self, x, plan) -> None:
@@ -222,6 +247,28 @@ def convergence(dig: Digest) -> None:
             dig.update((Path(out) / "convergence.csv").read_bytes())
 
 
+def poolings(dig: Digest) -> None:
+    dig.start("pooling")
+    rng = np.random.default_rng(30_000)
+    matrix, batch = rng.uniform(0.0, 1.0, (5, 10)), rng.uniform(0.0, 1.0, (3, 5, 10))
+    att = AttentionParams(v_mat=rng.standard_normal((5, 5)), w_vec=rng.standard_normal(5))
+    gate = MeanMaxGate(u_vec=rng.standard_normal(5), bias=0.3)
+    q0 = rng.dirichlet(np.ones(10))
+    configs = (mean_config(5, 10), max_config(5, 10), attention_config(5, q0),
+               UotParams.uniform(5, 10, k_iters=8, alpha0=0.1, alpha1=0.5, alpha2=2.0, rho=0.5))
+    for x in (matrix, batch):
+        for pooled in (mean_pool(x), max_pool(x), attention_pool(x, att), mixed_pool(x, 0.3),
+                       gated_mean_max_pool(x, gate)):
+            dig.array(pooled)
+        for kind in SolverKind:
+            for params in configs:
+                dig.uot_pool(x, params, kind)
+    for kind in SolverKind:
+        for omega in (0.1, 0.5, 0.9):
+            dig.array(hierarchical_uot_pool(matrix, omega, kind))
+            dig.count += 3
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="skip the bench batch")
@@ -235,6 +282,7 @@ def main() -> None:
         bench_batch(dig)
     training(dig)
     convergence(dig)
+    poolings(dig)
     if args.quick:
         del dig.hashes["bench"]
     for section, h in dig.hashes.items():
